@@ -204,10 +204,13 @@ def _unimodular(n, rng):
 class H3:
     """``h3`` on a Cayley table relabelled by the seed, identity kept at 0.
 
-    A round is the whole catalogue of groups of order <= 12 in seeded order:
-    each order-12 group once (3-5 s each) and every smaller group twice,
-    under two relabellings, so that the median and the tail rank fall
-    inside blocks of similar-cost queries rather than on a gap between them.
+    A round is the whole catalogue of groups of order <= 12 in seeded order,
+    each query under its own relabelling: the order-12 groups once (3-6 s
+    each), C10 and D5 three times, every other group twice (45 queries).
+    Seven queries (order 12, C11) cost more than the order-10 block, so the
+    tail rank (eleventh largest) falls in the middle of that block, and the
+    median in the middle of the order-8 block, instead of on a gap between
+    groups of different cost.
     """
 
     name = "h3"
@@ -215,8 +218,9 @@ class H3:
 
     def __init__(self):
         self.catalogue = ref.h3_catalogue()
+        copies = {12: 1, 10: 3}
         self.round = [g for g, (t, _) in sorted(self.catalogue.items())
-                      for _ in range(1 if len(t) == 12 else 2)]
+                      for _ in range(copies.get(len(t), 2))]
 
     def rounds(self, rng):
         while True:
