@@ -6,10 +6,18 @@ usage: python3 perfbench/run.py --workload {complements,glue,h3,cli}
 Run from the root of a source checkout; k3lat is imported from ./src.
 One client sends queries in a closed loop (the next query goes out when
 the last one has returned) in whole rounds of a fixed mix; the run ends
-at the round boundary nearest to S seconds of busy time, after at least
-11 queries.
+with the round in which the busy time reaches S seconds, or later if it
+has fewer than 11 queries or fewer than the workload's minimum number of
+rounds by then.
 Every answer is checked against the references in reference.py; a wrong
 answer, an unexpected exit code or an exception counts as a failure.
+
+Timings are corrected for the speed of the host, which on a shared VM
+drifts by 20% and more from minute to minute: around every timed interval
+the runner times a fixed pure-Python probe loop, and reports the interval
+as wall time x PROBE_REF_S / probe time, that is, in seconds of a host on
+which the probe takes PROBE_REF_S.  The human-readable lines also give
+the uncorrected wall-clock figures.
 
 --trace 0 reports the end-to-end metrics.  --trace 1 runs the same
 rounds untraced and then traced, with spans around the public functions
@@ -38,7 +46,8 @@ import tracer as tr
 from workloads import ROOT, SRC, WORKLOADS, child_env
 
 MIN_QUERIES = 11
-SETUP_RUNS = 7
+PROBE_REF_S = 0.003  # the probe's time on the reference host
+SETUP_RUNS = 11
 IMPORT_RUNS = 5
 WORK_DIR = os.path.join(ROOT, ".perfbench_work")
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
@@ -60,19 +69,41 @@ class BenchError(Exception):
 class Sample:
     qid: int
     label: str
-    seconds: float
+    seconds: float  # host-corrected
+    wall: float
     ok: bool
 
 
 # -- measurement -------------------------------------------------------------
 
 
+def probe_seconds() -> float:
+    """The host's current speed: the fastest of three runs of a fixed
+    integer loop that allocates nothing the garbage collector tracks
+    (2.7-3.7 ms on the 2-vCPU host the benchmark was tuned on)."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        acc = 0
+        for i in range(40000):
+            acc += i * i % 7
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def corrected(wall: float, probe_before: float, probe_after: float) -> float:
+    """Wall time in seconds of the reference host (see the module doc)."""
+    return wall * PROBE_REF_S / ((probe_before + probe_after) / 2)
+
+
 def measure_setup() -> list:
-    """Wall time of fresh interpreters that import k3lat and load the
-    shipped records; one discarded warm-up run compiles the bytecode."""
+    """Host-corrected wall time of fresh interpreters that import k3lat and
+    load the shipped records; one discarded warm-up run compiles the
+    bytecode."""
     cmd = [sys.executable, "-c", "import k3lat; k3lat.shipped_records()"]
     times = []
     for i in range(SETUP_RUNS + 1):
+        before = probe_seconds()
         start = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, env=child_env(), stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, timeout=120, check=False)
@@ -80,7 +111,7 @@ def measure_setup() -> list:
         if proc.returncode != 0:
             raise BenchError(f"cannot import k3lat from {SRC}:\n{proc.stderr}")
         if i:
-            times.append(elapsed)
+            times.append(corrected(elapsed, before, probe_seconds()))
     return times
 
 
@@ -103,9 +134,9 @@ def measure_imports() -> dict:
 
 
 def closed_loop(wl, rounds, seconds, tracer=None):
-    """Run whole rounds, stopping at the round boundary nearest to
-    ``seconds`` of busy time (once at least MIN_QUERIES ran); with
-    ``seconds`` None run every given round.  Returns (samples, rounds used)."""
+    """Run whole rounds until ``seconds`` of busy time, MIN_QUERIES queries
+    and ``wl.min_rounds`` rounds are reached; with ``seconds`` None run every
+    given round.  Returns (samples, rounds used)."""
     samples, used, busy = [], [], 0.0
     for rnd in rounds:
         used.append(rnd)
@@ -114,6 +145,7 @@ def closed_loop(wl, rounds, seconds, tracer=None):
             wl.prepare(q, WORK_DIR)
             if tracer is not None:
                 tracer.qid = qid
+            before = probe_seconds()
             start = time.perf_counter()
             try:
                 answer = wl.run(q, qid)
@@ -123,14 +155,15 @@ def closed_loop(wl, rounds, seconds, tracer=None):
             else:
                 error = None
             elapsed = time.perf_counter() - start
+            host_s = corrected(elapsed, before, probe_seconds())
             ok = error is None and _checked(wl, q, answer)
             if not ok:
                 print(f"FAILED {wl.name} query {qid} ({q.label}): {error or 'wrong answer'}",
                       file=sys.stderr)
-            samples.append(Sample(qid, q.label, elapsed, ok))
+            samples.append(Sample(qid, q.label, host_s, elapsed, ok))
             busy += elapsed
-        last = sum(s.seconds for s in samples[-len(rnd):])
-        if seconds is not None and busy + last / 2 >= seconds and len(samples) >= MIN_QUERIES:
+        if (seconds is not None and busy >= seconds and len(samples) >= MIN_QUERIES
+                and len(used) >= wl.min_rounds):
             break
     return samples, used
 
@@ -189,6 +222,10 @@ def run_untraced(wl, rng, seconds):
         lines.append(f"  {name:<16} {values[name]:>12.4f} {unit}{note}")
     lines.append(f"  {'failed_ratio':<16} {failed / len(samples):>12.4f} ratio"
                  f"  ({failed} of {len(samples)})")
+    wall = [s.wall for s in samples]
+    lines.append(f"  uncorrected: throughput {sum(s.ok for s in samples) / sum(wall):.4f} 1/s, "
+                 f"p50 {statistics.median(wall) * 1000.0:.1f} ms; host at "
+                 f"{sum(s.seconds for s in samples) / sum(wall):.3f} of reference speed")
     by_kind = {}
     for s in samples:
         by_kind.setdefault(s.label.split(":")[0], []).append(s.seconds * 1000.0)

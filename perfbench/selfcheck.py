@@ -68,12 +68,16 @@ def _():
             and 2000 <= abs(ref.config_det(c)) <= 10800}
     data = json.load(open(os.path.join(HERE, "data", "complements.json")))
     expect(pool == set(data["pool"]) | set(data["cliffs"]), "pool differs from the enumeration")
-    drawn = [c for s in data["strata"] for c in s]
+    pool, draw = data["pool"], data["draw"]
     shipped = set(WORKLOADS["complements"].SHIPPED.values())
-    expect(sorted(drawn) == sorted(set(data["pool"]) - shipped), "strata must partition the pool")
-    rnd = first_round("complements", 3)
-    expect(len(rnd) == 3 + len(data["strata"]), "3 shipped + one per stratum")
-    expect(len({q.label for q in rnd}) == len(rnd), "queries of a round are distinct")
+    expect(len(set(draw)) == len(draw), "the drawn configurations are distinct")
+    expect(set(draw) <= set(pool) - shipped, "drawn from the pool, not shipped")
+    expect(max(pool[c]["seconds"] for c in draw) < min(pool[c]["seconds"] for c in shipped),
+           "a round sorts as draw < shipped")
+    rounds = WORKLOADS["complements"]().rounds(random.Random(3))
+    first = [next(rounds) for _ in range(3)]
+    expect(all(len(r) == 4 for r in first), "3 shipped + one drawn")
+    expect(len({q.label for r in first for q in r}) == 3 + 3, "no draw repeats in three rounds")
 
 
 @check("h3 catalogue: valid tables, relabelling keeps identity at 0")

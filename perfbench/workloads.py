@@ -62,29 +62,32 @@ def _json_or_none(text):
 
 class Complements:
     """``genus --rank 3 --det |d(K)| --disc-from-config K`` for rank-19
-    configurations: the three shipped perfect groups in every round, plus
-    one seeded configuration from each of the 12 strata of the pool (six
-    cheaper than the shipped three, six as costly or more)."""
+    configurations.  A round is the three shipped perfect groups plus one
+    seeded configuration from the ``draw`` list of the pool, ten that cost
+    about half a shipped query.  Sorted, a round reads draw < M20, A6 <
+    L2(7).  A run is at least four rounds, so its median (8th and 9th of
+    16) falls in the middle of the eight M20 and A6 samples and its tail
+    rank (6th) inside that block too, whatever the seed draws; with three
+    rounds the tail rank would fall among the three drawn queries."""
 
     name = "complements"
     in_process = True
+    min_rounds = 4
     SHIPPED = {"L2(7)": "A6,2*A3,3*A2,A1", "A6": "2*A4,2*A3,2*A2,A1",
                "M20": "2*A4,D4,3*A2,A1"}
 
     def __init__(self):
         data = load_data("complements.json")
         self.classes = {c: e["classes"] for c, e in data["pool"].items()}
-        shipped = set(self.SHIPPED.values())
-        self.strata = data["strata"]
-        if shipped & {c for s in self.strata for c in s}:
-            raise ValueError("shipped configurations are not drawn from the strata")
+        self.draw = data["draw"]
+        if set(self.SHIPPED.values()) & set(self.draw):
+            raise ValueError("shipped configurations are not drawn")
 
     def rounds(self, rng):
-        strata = [rng.sample(s, len(s)) for s in self.strata]
+        draw = rng.sample(self.draw, len(self.draw))
         turn = 0
         while True:
-            picks = [(name, cfg) for name, cfg in self.SHIPPED.items()]
-            picks += [("seeded", s[turn % len(s)]) for s in strata]
+            picks = list(self.SHIPPED.items()) + [("seeded", draw[turn % len(draw)])]
             rng.shuffle(picks)
             yield [self._query(name, cfg) for name, cfg in picks]
             turn += 1
@@ -135,6 +138,7 @@ class Glue:
 
     name = "glue"
     in_process = True
+    min_rounds = 1
     # record -> (configuration, glue index, number of isotropic subgroups)
     RECORDS = {
         "C2": ("8*A1", 2, 71), "C3": ("6*A2", 3, 112), "C4": ("4*A3,2*A1", 4, 91),
@@ -142,12 +146,15 @@ class Glue:
         "C8": ("2*A7,A3,A1", 8, 7), "S4": ("2*A3,3*A2,5*A1", 2, 31),
     }
 
-    # C6 costs the median of the eight records, with four cheaper ones
-    # (C5, C7, C8, S4) and three costlier (C2, C3, C4).  A second basis of
-    # C6 and of C2 gives four records below the C6 block and four above, so
-    # the median of a run falls in the middle of the C6 samples instead of
-    # on a gap between records of different cost.
-    ROUND = sorted(RECORDS) + ["C2", "C6"]
+    # Copies per round (15 queries).  Six queries cost less than C6 (C7, C8,
+    # C5 twice, S4 twice) and six more (C2, C3, C4 four times), so the median
+    # falls in the middle of the C6 block, three per round because the cost
+    # of C6 moves with the basis.  C2, C3 and C4 are the costliest records
+    # (0.4-0.5 s); C4 comes four times, so for any run of 3 to 10 rounds the
+    # tail rank (eleventh largest) falls inside the C2..C4 block, and for
+    # more than 3 inside the C4 samples.
+    COPIES = {"C2": 1, "C3": 1, "C4": 4, "C5": 2, "C6": 3, "C7": 1, "C8": 1, "S4": 2}
+    ROUND = [name for name, k in sorted(COPIES.items()) for _ in range(k)]
 
     def rounds(self, rng):
         while True:
@@ -205,22 +212,29 @@ class H3:
     """``h3`` on a Cayley table relabelled by the seed, identity kept at 0.
 
     A round is the whole catalogue of groups of order <= 12 in seeded order,
-    each query under its own relabelling: the order-12 groups once (3-6 s
-    each), C10 and D5 three times, every other group twice (45 queries).
-    Seven queries (order 12, C11) cost more than the order-10 block, so the
-    tail rank (eleventh largest) falls in the middle of that block, and the
-    median in the middle of the order-8 block, instead of on a gap between
-    groups of different cost.
+    each query under its own relabelling (49 queries).  The eight costliest
+    groups (order 12, C11, C10, D5; 0.7-6 s) come once.  Below them C9
+    (0.4-0.56 s) comes five times, so the tail rank (eleventh largest) is
+    the middle C9 sample.  The order-8 groups (0.2 s) come four times each,
+    and below them C1..C4 once and the other small groups twice (14
+    queries), so the median falls in the middle of the 20 order-8 samples;
+    C3xC3 (0.35-0.47 s) comes twice.  Relabelling moves the cost of a
+    query by up to 25% at order 8 and 9, and by up to 2x at order 10 and
+    12; blocks of one group or of groups of equal cost keep the median and
+    the tail rank steady from seed to seed.
     """
 
     name = "h3"
     in_process = True
+    min_rounds = 1
+
+    # queries per round of each group that does not come once
+    COPIES = {"C9": 5, "C3xC3": 2, "C8": 4, "C2^3": 4, "C2xC4": 4, "D4": 4, "Q8": 4,
+              "C2xC2": 2, "C5": 2, "S3": 2, "C6": 2, "C7": 2}
 
     def __init__(self):
         self.catalogue = ref.h3_catalogue()
-        copies = {12: 1, 10: 3}
-        self.round = [g for g, (t, _) in sorted(self.catalogue.items())
-                      for _ in range(copies.get(len(t), 2))]
+        self.round = [g for g in sorted(self.catalogue) for _ in range(self.COPIES.get(g, 1))]
 
     def rounds(self, rng):
         while True:
@@ -258,6 +272,7 @@ class Cli:
 
     name = "cli"
     in_process = False
+    min_rounds = 1
     # Values of h3_order for which every division of the chain is exact.
     H3_CHOICES = {"A6": (1, 2, 3, 4, 6, 9, 12), "M20": (1, 2, 4, 8)}
     NAME_FILTERS = ("C", "A", "S4", "L2", "A5", "A6", "M20", "C8", "7")
