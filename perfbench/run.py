@@ -7,8 +7,7 @@ Run from the root of a source checkout; k3lat is imported from ./src.
 One client sends queries in a closed loop (the next query goes out when
 the last one has returned) in whole rounds of a fixed mix; the run ends
 with the round in which the busy time reaches S seconds, or later if it
-has fewer than 11 queries or fewer than the workload's minimum number of
-rounds by then.
+has fewer than 11 queries by then.
 Every answer is checked against the references in reference.py; a wrong
 answer, an unexpected exit code or an exception counts as a failure.
 
@@ -134,9 +133,9 @@ def measure_imports() -> dict:
 
 
 def closed_loop(wl, rounds, seconds, tracer=None):
-    """Run whole rounds until ``seconds`` of busy time, MIN_QUERIES queries
-    and ``wl.min_rounds`` rounds are reached; with ``seconds`` None run every
-    given round.  Returns (samples, rounds used)."""
+    """Run whole rounds until ``seconds`` of busy time and MIN_QUERIES
+    queries are reached; with ``seconds`` None run every given round.
+    Returns (samples, rounds used)."""
     samples, used, busy = [], [], 0.0
     for rnd in rounds:
         used.append(rnd)
@@ -162,8 +161,7 @@ def closed_loop(wl, rounds, seconds, tracer=None):
                       file=sys.stderr)
             samples.append(Sample(qid, q.label, host_s, elapsed, ok))
             busy += elapsed
-        if (seconds is not None and busy >= seconds and len(samples) >= MIN_QUERIES
-                and len(used) >= wl.min_rounds):
+        if seconds is not None and busy >= seconds and len(samples) >= MIN_QUERIES:
             break
     return samples, used
 

@@ -77,7 +77,7 @@ def _():
     rounds = WORKLOADS["complements"]().rounds(random.Random(3))
     first = [next(rounds) for _ in range(3)]
     expect(all(len(r) == 4 for r in first), "3 shipped + one drawn")
-    expect(len({q.label for r in first for q in r}) == 3 + 3, "no draw repeats in three rounds")
+    expect(len({q.label for r in first for q in r}) == 3 + 3, "no draw repeats in a run")
 
 
 @check("h3 catalogue: valid tables, relabelling keeps identity at 0")

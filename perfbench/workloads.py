@@ -65,14 +65,13 @@ class Complements:
     configurations.  A round is the three shipped perfect groups plus one
     seeded configuration from the ``draw`` list of the pool, ten that cost
     about half a shipped query.  Sorted, a round reads draw < M20, A6 <
-    L2(7).  A run is at least four rounds, so its median (8th and 9th of
-    16) falls in the middle of the eight M20 and A6 samples and its tail
-    rank (6th) inside that block too, whatever the seed draws; with three
-    rounds the tail rank would fall among the three drawn queries."""
+    L2(7), so over the three rounds a run needs for its eleven queries the
+    median (6th and 7th of 12) falls in the middle of the six M20 and A6
+    samples and the tail rank (2nd) among the three drawn ones, whatever
+    the seed draws."""
 
     name = "complements"
     in_process = True
-    min_rounds = 4
     SHIPPED = {"L2(7)": "A6,2*A3,3*A2,A1", "A6": "2*A4,2*A3,2*A2,A1",
                "M20": "2*A4,D4,3*A2,A1"}
 
@@ -138,7 +137,6 @@ class Glue:
 
     name = "glue"
     in_process = True
-    min_rounds = 1
     # record -> (configuration, glue index, number of isotropic subgroups)
     RECORDS = {
         "C2": ("8*A1", 2, 71), "C3": ("6*A2", 3, 112), "C4": ("4*A3,2*A1", 4, 91),
@@ -226,7 +224,6 @@ class H3:
 
     name = "h3"
     in_process = True
-    min_rounds = 1
 
     # queries per round of each group that does not come once
     COPIES = {"C9": 5, "C3xC3": 2, "C8": 4, "C2^3": 4, "C2xC4": 4, "D4": 4, "Q8": 4,
@@ -272,7 +269,6 @@ class Cli:
 
     name = "cli"
     in_process = False
-    min_rounds = 1
     # Values of h3_order for which every division of the chain is exact.
     H3_CHOICES = {"A6": (1, 2, 3, 4, 6, 9, 12), "M20": (1, 2, 4, 8)}
     NAME_FILTERS = ("C", "A", "S4", "L2", "A5", "A6", "M20", "C8", "7")
