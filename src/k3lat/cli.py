@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized self-check in 'verify'")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the genus enumeration")
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("invariants", help="run discriminant chains")
@@ -202,7 +200,7 @@ def cmd_verify(args, seed=0) -> int:
     return EXIT_OK
 
 
-def cmd_genus(args, threads=1) -> int:
+def cmd_genus(args) -> int:
     if args.disc_from_config and args.disc_from_gram:
         raise DomainError("give at most one of --disc-from-config / --disc-from-gram")
     disc = None
@@ -215,7 +213,7 @@ def cmd_genus(args, threads=1) -> int:
             raise DomainError('gram file must be JSON {"gram": [[...]]}')
         disc = disc_form(GramLattice(IntMatrix(data["gram"])))
     spec = genusmod.GenusSpec(args.rank, args.det, disc)
-    count, reps = genusmod.genus_class_count(spec, threads=threads)
+    count, reps = genusmod.genus_class_count(spec)
     if args.json:
         print(json.dumps({
             "rank": args.rank,
@@ -286,7 +284,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args, seed=args.seed)
         if args.command == "genus":
-            return cmd_genus(args, threads=args.threads)
+            return cmd_genus(args)
         if args.command == "h3":
             return cmd_h3(args)
         if args.command == "tables":

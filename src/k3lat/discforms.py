@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 from .errors import (
     DegenerateLatticeError,
     DomainError,
+    InconsistentDataError,
     ResourceLimitError,
 )
 from .intmat import (
@@ -178,10 +179,13 @@ def disc_form(l) -> FiniteQuadraticForm:
     w = uinv.transpose().mul(sf.v)
     keep = [i for i, d in enumerate(sf.d) if d > 1]
     # Pairing of quotient generators i, j is w[i][j]/d_j, an exactly
-    # symmetric rational; asserted because it guards the whole construction.
+    # symmetric rational; checked because it guards the whole construction.
     for i in keep:
         for j in keep:
-            assert Fraction(w.rows[i][j], sf.d[j]) == Fraction(w.rows[j][i], sf.d[i])
+            if Fraction(w.rows[i][j], sf.d[j]) != Fraction(w.rows[j][i], sf.d[i]):
+                raise InconsistentDataError(
+                    f"discriminant pairing is not symmetric at generators {i}, {j}"
+                )
     orders = [sf.d[i] for i in keep]
     q = [Fraction(w.rows[i][i], sf.d[i]) for i in keep]
     b = [[Fraction(w.rows[i][j], sf.d[j]) for j in keep] for i in keep]

@@ -11,16 +11,15 @@ the reduction domain are removed by explicit isometry testing.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .discforms import FiniteQuadraticForm, are_isomorphic, disc_form
-from .errors import DomainError, ResourceLimitError
-from .lattices import GramLattice
+from .errors import DomainError, InconsistentDataError, ResourceLimitError
+from .intmat import IntMatrix, invariant_factors
+from .lattices import GramLattice, disc_group
 
 DET_BOUND = 100_000
 
@@ -144,7 +143,10 @@ def short_vectors(gram: tuple, bound: int) -> tuple:
 
     rec(n - 1, Fraction(bound))
     for w in out:
-        assert norm_of(gram, w) <= bound
+        if norm_of(gram, w) > bound:
+            raise InconsistentDataError(
+                f"short-vector enumeration returned {w} of norm above {bound}"
+            )
     return tuple(out)
 
 
@@ -255,7 +257,7 @@ def _rank3_partition(det, g11):
     return out
 
 
-def _raw_reduced(rank: int, det: int, threads: int = 1) -> list:
+def _raw_reduced(rank: int, det: int) -> list:
     """Structurally distinct reduced-shape candidates, duplicates by
     isometry still possible."""
     if rank not in (1, 2, 3):
@@ -271,17 +273,11 @@ def _raw_reduced(rank: int, det: int, threads: int = 1) -> list:
     elif rank == 2:
         raw = _rank2_forms(det)
     else:
-        g11s = []
+        raw = []
         g11 = 2
         while g11 ** 3 <= 2 * det:
-            g11s.append(g11)
+            raw.extend(_rank3_partition(det, g11))
             g11 += 2
-        if threads > 1 and len(g11s) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                chunks = list(ex.map(_rank3_partition, itertools.repeat(det), g11s))
-        else:
-            chunks = [_rank3_partition(det, g) for g in g11s]
-        raw = [g for chunk in chunks for g in chunk]
     return [ReducedForm(g) for g in dict.fromkeys(raw)]
 
 
@@ -298,10 +294,10 @@ def _dedup_isometry(forms) -> list:
     return reps
 
 
-def enumerate_reduced(rank: int, det: int, threads: int = 1) -> list:
+def enumerate_reduced(rank: int, det: int) -> list:
     """All even positive-definite forms of the rank and determinant,
     one representative per isometry class."""
-    return _dedup_isometry(_raw_reduced(rank, det, threads=threads))
+    return _dedup_isometry(_raw_reduced(rank, det))
 
 
 @dataclass(frozen=True)
@@ -320,18 +316,27 @@ class GenusSpec:
             )
 
 
-def genus_class_count(spec: GenusSpec, threads: int = 1):
+def genus_class_count(spec: GenusSpec):
     """(class count, representatives) for the genus the spec describes.
 
     Even lattices of equal signature lie in one genus exactly when their
     discriminant forms are isomorphic.  The form-isomorphism filter runs
     before isometry deduplication: it is the cheaper test and discards
-    most of the reduced-shape candidates.
+    most of the reduced-shape candidates.  Isomorphic forms live on
+    isomorphic groups, so candidates whose discriminant group has other
+    invariant factors are dropped first, before any form is built.
     """
-    candidates = _raw_reduced(spec.rank, spec.det, threads=threads)
+    candidates = _raw_reduced(spec.rank, spec.det)
     if spec.disc is not None:
+        # The target's orders need not form a divisor chain (an orthogonal
+        # sum can give (3, 5) where the invariant factors are (15,)).
+        target_group = tuple(
+            d for d in invariant_factors(IntMatrix.diagonal(spec.disc.orders)) if d > 1
+        )
         candidates = [
-            r for r in candidates if are_isomorphic(disc_form(r.lattice()), spec.disc)
+            r for r in candidates
+            if disc_group(r.lattice()) == target_group
+            and are_isomorphic(disc_form(r.lattice()), spec.disc)
         ]
     reps = _dedup_isometry(candidates)
     return len(reps), reps

@@ -401,29 +401,53 @@ def tables_disjoint(extra_configs=()) -> bool:
 # -- record file format ----------------------------------------------------
 
 
+def _strict_int(value, what):
+    """A JSON integer; booleans, fractional numbers, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _strict_str(value, what):
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def record_from_dict(obj: dict) -> ActionRecord:
+    if not isinstance(obj, dict):
+        raise DomainError("each record must be a JSON object")
     unknown = set(obj) - set(_RECORD_FIELDS)
     if unknown:
         raise DomainError(f"unknown record fields: {sorted(unknown)}")
     missing = set(_RECORD_FIELDS) - set(obj)
     if missing:
         raise DomainError(f"missing record fields: {sorted(missing)}")
+    name = _strict_str(obj["name"], "name")
     census = obj["census"]
     if census is not None:
         try:
-            census = {int(k): int(v) for k, v in census.items()}
+            census = {
+                int(k): _strict_int(v, f"{name}: census count for order {k}")
+                for k, v in census.items()
+            }
         except (AttributeError, ValueError):
             raise DomainError(
-                f"{obj.get('name')}: census must map orders to counts"
+                f"{name}: census must map orders to counts"
             ) from None
+
+    def optional_int(field):
+        value = obj[field]
+        return None if value is None else _strict_int(value, f"{name}: {field}")
+
     rec = ActionRecord(
-        name=str(obj["name"]),
-        group_order=int(obj["group_order"]),
+        name=name,
+        group_order=_strict_int(obj["group_order"], f"{name}: group_order"),
         census=census,
-        config=ADEConfig.parse(obj["config"]),
-        glue_index=None if obj["glue_index"] is None else int(obj["glue_index"]),
-        h3_order=None if obj["h3_order"] is None else int(obj["h3_order"]),
-        provenance=str(obj["provenance"]),
+        config=ADEConfig.parse(_strict_str(obj["config"], f"{name}: config")),
+        glue_index=optional_int("glue_index"),
+        h3_order=optional_int("h3_order"),
+        provenance=_strict_str(obj["provenance"], f"{name}: provenance"),
     )
     return rec.validate()
 

@@ -20,8 +20,17 @@ from k3lat.discforms import (
     negate,
     orthogonal_sum,
     overlattice_disc,
+    p_primary_parts,
 )
-from k3lat.genus import GenusSpec, ReducedForm, enumerate_reduced, genus_class_count, is_isometric
+from k3lat.genus import (
+    GenusSpec,
+    ReducedForm,
+    _dedup_isometry,
+    _raw_reduced,
+    enumerate_reduced,
+    genus_class_count,
+    is_isometric,
+)
 from k3lat.groups import (
     FiniteGroup,
     _coboundary_rows,
@@ -339,3 +348,31 @@ def test_criterion_10e_enumeration_closure():
                 assert not is_isometric(members[i], members[j])
         checked += 1
     print("ACCEPTANCE 10e PASS: 1000 enumeration-closure checks")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_criterion_10e_class_count_matches_brute_force(rank):
+    # The brute force runs the form-isomorphism test on every reduced
+    # candidate, with no screening by discriminant group.  Each target is
+    # also posed as the orthogonal sum of its primary parts, whose orders
+    # need not form a divisor chain: (3, 5) at det 15, (8, 5) at det 40.
+    checked = split_orders = 0
+    for det in range(2, 41):
+        targets = []
+        for r in enumerate_reduced(rank, det):
+            q = disc_form(r.lattice())
+            if not any(are_isomorphic(q, t) for t in targets):
+                targets.append(q)
+        for target in targets:
+            expected = len(_dedup_isometry(
+                r for r in _raw_reduced(rank, det)
+                if are_isomorphic(disc_form(r.lattice()), target)
+            ))
+            split = orthogonal_sum(p_primary_parts(target).values())
+            split_orders += split.orders != target.orders
+            for disc in (target, split):
+                count, _ = genus_class_count(GenusSpec(rank, det, disc))
+                assert count == expected, (rank, det, disc)
+            checked += 1
+    assert checked and split_orders
+    print(f"ACCEPTANCE 10e PASS: rank {rank}, {checked} genus counts match brute force")

@@ -176,6 +176,19 @@ def test_schema_rejection_exit_one(tmp_path, capsys):
     assert "unknown record fields" in err
 
 
+@pytest.mark.parametrize("value", [24.9, True, None])
+def test_non_integer_group_order_exit_one(tmp_path, capsys, value):
+    def mutate(objs):
+        for o in objs:
+            if o["name"] == "S4":
+                o["group_order"] = value
+
+    path = write_records(tmp_path, shipped_records(), mutate)
+    code, _, err = run_cli(capsys, "invariants", path, "--name", "S4")
+    assert code == 1
+    assert "group_order must be an integer" in err
+
+
 def test_missing_file_exit_one(capsys):
     code, _, err = run_cli(capsys, "invariants", "/nonexistent/file.json")
     assert code == 1
@@ -207,8 +220,7 @@ def test_verify_seed_flag(capsys):
     assert "selfcheck(snf/det, seed=5): pass" in out
 
 
-def test_threads_flag_on_genus(capsys):
-    code, out, _ = run_cli(capsys, "--threads", "2", "genus",
-                           "--rank", "3", "--det", "48")
-    assert code == 0
-    assert out.startswith("classes:")
+def test_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "2", "genus", "--rank", "3", "--det", "48"])
+    assert info.value.code == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from k3lat.errors import ChainInconsistencyError, InconsistentDataError
+from k3lat.errors import ChainInconsistencyError, DomainError, InconsistentDataError
 from k3lat.lattices import ADEConfig
 from k3lat.pipeline import (
     DEFAULT_FIXED_POINT_PROFILE,
@@ -259,6 +259,32 @@ def test_record_schema_rejects_unknown_fields():
     del missing["provenance"]
     with pytest.raises(DomainError):
         record_from_dict(missing)
+
+
+def test_record_file_rejects_non_object_records():
+    with pytest.raises(DomainError, match="JSON object"):
+        records_from_json("[1]")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("group_order", 24.9),
+    ("group_order", True),
+    ("group_order", None),
+    ("group_order", "24"),
+    ("glue_index", 2.5),
+    ("glue_index", False),
+    ("h3_order", 2.7),
+    ("census", {"2": 9.7, "3": 8, "4": 6}),
+    ("name", None),
+    ("name", 4),
+    ("config", 7),
+    ("provenance", None),
+])
+def test_record_schema_rejects_coercible_values(field, value):
+    obj = record_to_dict(RECORDS["S4"])
+    obj[field] = value
+    with pytest.raises(DomainError, match=field):
+        record_from_dict(obj)
 
 
 def test_factored():
