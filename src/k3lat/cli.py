@@ -26,8 +26,8 @@ from .errors import (
     K3latError,
     ResourceLimitError,
 )
-from .groups import FiniteGroup, h3_bar_resolution
-from .intmat import IntMatrix, det_exact, smith_normal_form
+from .groups import H3_DEFAULT_CAP, FiniteGroup, h3_bar_resolution
+from .intmat import IntMatrix, det_exact, smith_normal_form, strict_int_rows
 from .lattices import ADEConfig, GramLattice, config_lattice
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("h3", help="H^3(G, Z) for a small group")
     ph.add_argument("group_file",
                     help='JSON with {"cayley": [[...]]} or {"perm_generators": [...]}')
-    ph.add_argument("--cap", type=int, default=12,
+    ph.add_argument("--cap", type=int, default=H3_DEFAULT_CAP,
                     help="largest group order the oracle will attempt")
 
     sub.add_parser("tables", help="print the built-in classification tables")
@@ -211,7 +211,7 @@ def cmd_genus(args) -> int:
             data = json.load(fh)
         if not isinstance(data, dict) or "gram" not in data:
             raise DomainError('gram file must be JSON {"gram": [[...]]}')
-        disc = disc_form(GramLattice(IntMatrix(data["gram"])))
+        disc = disc_form(GramLattice(IntMatrix(strict_int_rows(data["gram"], "gram"))))
     spec = genusmod.GenusSpec(args.rank, args.det, disc)
     count, reps = genusmod.genus_class_count(spec)
     if args.json:
@@ -239,7 +239,12 @@ def _group_from_file(path) -> FiniteGroup:
     if "cayley" in data:
         return FiniteGroup(data["cayley"])
     if "perm_generators" in data:
-        return FiniteGroup.from_cycles(data["perm_generators"])
+        gens = data["perm_generators"]
+        if not isinstance(gens, list) or not all(isinstance(x, str) for x in gens):
+            raise DomainError(
+                f"perm_generators must be a list of cycle strings, got {gens!r}"
+            )
+        return FiniteGroup.from_cycles(gens)
     raise DomainError("group file needs a 'cayley' table or 'perm_generators'")
 
 

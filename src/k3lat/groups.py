@@ -1,20 +1,25 @@
-"""Finite groups as Cayley tables, element-order censuses, and a brute-force
+"""Finite groups as Cayley tables, element-order censuses, and an exact
 integral cohomology oracle in degree 3.
 
-The oracle exists to validate record data on small groups; dense Smith
-reduction on the cochain spaces of large groups is far out of desk scale,
-which is why records carry the order of H^3 as data.
+The oracle computes H^3(G, Z) as H_2(G, Z), the homology of the
+normalized bar complex, whose cells are tuples of non-identity elements.
+Its invariant factors come from a Smith form modulo |G|^2, since |G|
+annihilates H_2; that its free rank is zero is certified by ranks over a
+prime field.  It exists to validate record data on small groups: the
+boundary d3 has (n-1)^3 columns, so the default cap keeps it to order 12,
+and records carry the order of H^3 as data.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import deque
-
-import numpy as np
+from math import gcd
+from operator import itemgetter
 
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
-from .intmat import invariant_factors_of_rows
+from .intmat import invariant_factors_of_rows, strict_int_rows
 
 PERMUTATION_CLOSURE_LIMIT = 10_000
 ASSOC_VALIDATION_LIMIT = 1_024
@@ -34,14 +39,17 @@ class FiniteGroup:
     __slots__ = ("table", "order", "_orders")
 
     def __init__(self, table, _trusted=False):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        if _trusted:
+            table = tuple(map(tuple, table))
+        else:
+            table = strict_int_rows(table, "Cayley table")
         n = len(table)
         if any(len(row) != n for row in table):
             raise DomainError("Cayley table must be square")
         if n == 0:
             raise DomainError("a group needs at least the identity")
         rng = range(n)
-        if any(x < 0 or x >= n for row in table for x in row):
+        if any(min(row) < 0 or max(row) >= n for row in table):
             raise DomainError("Cayley table entries out of range")
         if not _trusted:
             if tuple(table[0]) != tuple(rng) or any(table[i][0] != i for i in rng):
@@ -58,10 +66,8 @@ class FiniteGroup:
                     f"cannot validate associativity for order {n}; "
                     "construct the group from permutation generators instead"
                 )
-            t = np.array(table, dtype=np.int64)
-            for i in rng:
-                if not np.array_equal(t[t[i]], t[i][t]):
-                    raise DomainError("Cayley table is not associative")
+            if not _is_associative(table):
+                raise DomainError("Cayley table is not associative")
         self.table = table
         self.order = n
         self._orders = None
@@ -133,6 +139,45 @@ class FiniteGroup:
         return self._orders
 
 
+def _generators(table):
+    """Greedy generating set: each new generator is the first element not
+    yet reached from the identity by right multiplication with earlier ones."""
+    n = len(table)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens = []
+    for g in range(1, n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        stack = [row[g] for row in map(table.__getitem__, reached)]
+        while stack:
+            x = stack.pop()
+            if not seen[x]:
+                seen[x] = True
+                reached.append(x)
+                stack.extend(table[x][s] for s in gens)
+    return gens
+
+
+def _is_associative(table):
+    """Light's associativity test for a Latin square with identity 0.
+
+    The elements s with (xs)y = x(sy) for all x, y are closed under
+    multiplication, so it suffices to check s over a set that reaches every
+    element by products: |S| n row comparisons instead of n^3 products.
+    """
+    for s in _generators(table):
+        # times_s(row of x) is the row of x(s y); there are n >= 2 items
+        # whenever s exists, so itemgetter returns a tuple
+        times_s = itemgetter(*table[s])
+        for row_x in table:
+            if table[row_x[s]] != times_s(row_x):
+                return False
+    return True
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -180,142 +225,153 @@ def order_census(g: FiniteGroup) -> dict:
 # -- degree-3 integral cohomology oracle ---------------------------------
 
 
-def _coboundary_rows(table, deg):
-    """Sparse rows of the inhomogeneous bar coboundary C^deg -> C^(deg+1).
+def _boundary(table, deg):
+    """Sparse columns of the normalized bar boundary C_deg -> C_(deg-1).
 
-    Row (g_1..g_{deg+1}) evaluates f(g_2..) - f(g_1 g_2, ..) + ... with
-    alternating signs; colliding terms accumulate.
+    With trivial coefficients [g_1|..|g_deg] maps to [g_2|..|g_deg]
+    - [g_1 g_2|..] + ... + (-1)^deg [g_1|..|g_(deg-1)].  A cell with an
+    identity entry is zero in the normalized complex, so cells are tuples
+    of the elements 1..n-1, and cell (g_1..g_k) has index
+    sum (g_i - 1) (n-1)^(k-i).  Colliding terms accumulate; cancelled ones
+    are dropped.
     """
-    n = len(table)
-    rows = []
-    for flat in range(n ** (deg + 1)):
-        tup = []
-        x = flat
-        for _ in range(deg + 1):
-            tup.append(x % n)
-            x //= n
-        tup.reverse()
-        row = {}
-
-        def add(cols, coeff):
+    k = len(table) - 1
+    cols = []
+    for cell in itertools.product(range(1, k + 1), repeat=deg):
+        col = {}
+        for i in range(deg + 1):
+            if i == 0:
+                face = cell[1:]
+            elif i == deg:
+                face = cell[:-1]
+            else:
+                prod = table[cell[i - 1]][cell[i]]
+                if prod == 0:
+                    continue
+                face = cell[:i - 1] + (prod,) + cell[i + 1:]
             idx = 0
-            for c in cols:
-                idx = idx * n + c
-            row[idx] = row.get(idx, 0) + coeff
-
-        add(tup[1:], 1)
-        sign = -1
-        for i in range(deg):
-            merged = tup[:i] + [table[tup[i]][tup[i + 1]]] + tup[i + 2:]
-            add(merged, sign)
-            sign = -sign
-        add(tup[:-1], sign)
-        rows.append({c: v for c, v in row.items() if v})
-    return rows
+            for x in face:
+                idx = idx * k + x - 1
+            col[idx] = col.get(idx, 0) + (-1 if i % 2 else 1)
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
 
 
-def _compose_is_zero(outer_rows, inner_rows):
-    for row in outer_rows:
-        acc = {}
-        for mid, coeff in row.items():
-            for col, coeff2 in inner_rows[mid].items():
-                acc[col] = acc.get(col, 0) + coeff * coeff2
-        if any(v for v in acc.values()):
-            return False
-    return True
+def _eliminate_units(vectors, m):
+    """Gauss-Jordan elimination mod m on unit pivots.
 
-
-def _rank_mod_p(rows, ncols, p):
-    """Rank of the sparse row list over F_p (rows live in Z^ncols).
-
-    Elimination runs on the transpose; with p <= 8191 all products fit
-    int32 comfortably.
+    Returns ``(pivots, rest)``.  ``pivots`` maps a column c to a sparse
+    row with entry 1 at c and 0 at every other pivot column.  ``rest``
+    holds the remaining nonzero rows; they vanish on the pivot columns
+    and none of their entries is a unit mod m.  Entries are kept reduced
+    mod m, which only adds multiples of the m*e_i; scaling a row by a unit
+    mod m is undone by its inverse up to such multiples, and the other
+    steps are unimodular, so span(pivots, rest) + m*Z^N = span(vectors) +
+    m*Z^N.
+    For a prime m every nonzero entry is a unit: ``rest`` is empty and
+    len(pivots) is the rank over F_m.
     """
-    arr = np.zeros((ncols, len(rows)), dtype=np.int32)
-    for ridx, row in enumerate(rows):
-        for c, v in row.items():
-            arr[c, ridx] += v
-    arr %= p
-    nr, nc = arr.shape
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(arr[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            arr[[r, i]] = arr[[i, r]]
-        inv = pow(int(arr[r, c]), p - 2, p)
-        arr[r, c:] = (arr[r, c:] * inv) % p
-        below = np.nonzero(arr[r + 1:, c])[0]
-        if below.size:
-            idx = r + 1 + below
-            factors = arr[idx, c].copy()
-            arr[idx, c:] = (arr[idx, c:] - factors[:, None] * arr[r, c:]) % p
-        r += 1
-    return r
+    pivots = {}
+    pending = vectors
+    while True:
+        rest = []
+        added = False
+        for vec in pending:
+            row = {c: v % m for c, v in vec.items() if v % m}
+            for c in [c for c in row if c in pivots]:
+                v = row.pop(c)
+                for j, w in pivots[c].items():
+                    if j != c:
+                        nv = (row.get(j, 0) - v * w) % m
+                        if nv:
+                            row[j] = nv
+                        else:
+                            row.pop(j, None)
+            c = next((c for c, v in row.items() if gcd(v, m) == 1), None)
+            if c is None:
+                if row:
+                    rest.append(row)
+                continue
+            u = pow(row[c], -1, m)
+            if u != 1:
+                row = {j: v * u % m for j, v in row.items()}
+            for prow in pivots.values():
+                f = prow.pop(c, 0)
+                if f:
+                    for j, w in row.items():
+                        if j != c:
+                            nv = (prow.get(j, 0) - f * w) % m
+                            if nv:
+                                prow[j] = nv
+                            else:
+                                prow.pop(j, None)
+            pivots[c] = row
+            added = True
+        # A row set aside before a later pivot appeared may now reduce to
+        # a unit entry: go round again until a pass adds no pivot.
+        if not (added and rest):
+            return pivots, rest
+        pending = rest
 
 
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
+def _primitive(row):
+    """A sparse integer row divided by the gcd of its entries."""
+    c = 0
+    for v in row.values():
+        c = gcd(c, v)
+        if c == 1:
+            return row
+    return {j: v // c for j, v in row.items()}
 
 
 def _rank_exact_sparse(rows):
-    """Exact integer rank of a sparse row list; fallback certificate path."""
+    """Exact rank over Q of a sparse row list; fallback certificate path.
+
+    Fraction-free elimination on the leading column, with every row kept
+    primitive, which holds the coefficient growth down.
+    """
     pivots = {}
     for row in rows:
         row = dict(row)
         while row:
             c = min(row)
-            if c not in pivots:
-                pivots[c] = row
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = _primitive(row)
                 break
-            prow = pivots[c]
-            a, b = prow[c], row[c]
-            if b % a == 0:
-                q = b // a
-                for col, v in prow.items():
-                    nv = row.get(col, 0) - q * v
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-            else:
-                g, x, y = _xgcd(a, b)
-                cols = set(prow) | set(row)
-                newp = {}
-                newr = {}
-                for col in cols:
-                    pa = prow.get(col, 0)
-                    rb = row.get(col, 0)
-                    vp = x * pa + y * rb
-                    vr = (a // g) * rb - (b // g) * pa
-                    if vp:
-                        newp[col] = vp
-                    if vr:
-                        newr[col] = vr
-                pivots[c] = newp
-                row = newr
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            new = {}
+            for j in prow.keys() | row.keys():
+                v = a * row.get(j, 0) - b * prow.get(j, 0)
+                if v:
+                    new[j] = v
+            row = _primitive(new)
     return len(pivots)
 
 
 def h3_bar_resolution(g: FiniteGroup, cap: int = H3_DEFAULT_CAP) -> tuple:
-    """Invariant factors (> 1) of H^3(G, Z) from the bar cochain complex.
+    """Invariant factors (> 1) of H^3(G, Z), computed as H_2(G, Z).
 
-    Computes ker(d3)/im(d2) with integer coefficients: the torsion of the
-    quotient equals the nontrivial invariant factors of d2 because the
-    kernel of an integer matrix is saturated, and the vanishing of the
-    free part is certified by rank(d3) = |G|^3 - rank(d2) (a mod-p rank
-    reaching that bound pins the rational rank, since im(d2) inside
-    ker(d3) caps it from above).
+    For finite G, H^3(G, Z) = Ext(H_2(G, Z), Z) = H_2(G, Z) by universal
+    coefficients, and H_2 = ker d2 / im d3 in the normalized bar complex,
+    where d3 is (n-1)^2 x (n-1)^3.  Since ker d2 is saturated and holds
+    im d3, the torsion of coker d3 is the torsion of H_2; when the free
+    rank is zero it is all of H_2.
+
+    The invariant factors are read off im d3 + m*Z^((n-1)^2) with
+    m = |G|^2, so no coefficient grows past m.  Modulo m a torsion factor
+    d of coker d3 stays gcd(d, m) and a zero factor becomes m.  |G|
+    annihilates H_2, so every torsion factor divides |G| < m; with m = |G|
+    a factor equal to |G| would be indistinguishable from a zero one.
+    Unit pivots are eliminated mod m first; a dense Smith form finishes
+    the rows and columns they leave.
+
+    The free rank is certified zero by rank_q d2 + rank_q d3 = (n-1)^2 for
+    a prime q (rank over F_q never exceeds the rational rank, and
+    d2 d3 = 0 caps the rational sum at (n-1)^2), with exact sparse ranks
+    as the fallback.  The count of factors below m must then equal
+    rank d3.
     """
     n = g.order
     if n > cap:
@@ -325,26 +381,40 @@ def h3_bar_resolution(g: FiniteGroup, cap: int = H3_DEFAULT_CAP) -> tuple:
         )
     if n == 1:
         return ()
-    d2_rows = _coboundary_rows(g.table, 2)
-    d3_rows = _coboundary_rows(g.table, 3)
-    if not _compose_is_zero(d3_rows, d2_rows):
-        raise InconsistentDataError("d3 composed with d2 is nonzero")
-    dense = [[0] * (n * n) for _ in range(n ** 3)]
-    for i, row in enumerate(d2_rows):
-        for c, v in row.items():
-            dense[i][c] = v
-    factors = invariant_factors_of_rows(dense, n * n)
-    r2 = sum(1 for f in factors if f)
-    torsion = tuple(int(f) for f in factors if f > 1)
-    target = n ** 3 - r2
-    for p in _RANK_PRIMES:
-        r3 = _rank_mod_p(d3_rows, n ** 3, p)
-        if r3 > target:
+    d2 = _boundary(g.table, 2)
+    d3 = _boundary(g.table, 3)
+    for col in d3:
+        acc = {}
+        for mid, v in col.items():
+            for r, w in d2[mid].items():
+                acc[r] = acc.get(r, 0) + v * w
+        if any(acc.values()):
+            raise InconsistentDataError("d2 composed with d3 is nonzero")
+    size = (n - 1) ** 2
+    for q in _RANK_PRIMES:
+        r2 = len(_eliminate_units(d2, q)[0])
+        r3 = len(_eliminate_units(d3, q)[0])
+        if r2 + r3 > size:
             raise InconsistentDataError("rank of d3 exceeds its kernel bound")
-        if r3 == target:
-            return torsion
-    if _rank_exact_sparse(d3_rows) != target:
+        if r2 + r3 == size:
+            break
+    else:
+        r2 = _rank_exact_sparse(d2)
+        r3 = _rank_exact_sparse(d3)
+        if r2 + r3 != size:
+            raise InconsistentDataError(
+                "degree-2 homology has positive free rank; not a finite group table"
+            )
+    m = n * n
+    pivots, rest = _eliminate_units(d3, m)
+    # rows in ``rest`` vanish on the pivot columns; each pivot row adds a
+    # factor 1 and removes its column
+    free = [j for j in range(size) if j not in pivots]
+    rows = [[row.get(j, 0) for j in free] for row in rest]
+    rows += [[m if i == j else 0 for j in range(len(free))] for i in range(len(free))]
+    factors = invariant_factors_of_rows(rows, len(free))
+    if len(pivots) + sum(1 for f in factors if f < m) != r3:
         raise InconsistentDataError(
-            "degree-3 cohomology has positive free rank; not a finite group table"
+            "modular Smith form of d3 disagrees with its certified rank"
         )
-    return torsion
+    return tuple(f for f in factors if 1 < f < m)

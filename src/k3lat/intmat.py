@@ -13,6 +13,32 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError
 
 
+def strict_int(value, what):
+    """A JSON integer; booleans, fractional numbers, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def strict_int_rows(value, what):
+    """A matrix of JSON integers as a tuple of row tuples.
+
+    Rows must be lists (or tuples) and entries pass ``strict_int``, so a
+    float, even an integral one, is refused rather than truncated.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{what} must be a list of rows, got {value!r}")
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, (list, tuple)):
+            raise DomainError(f"{what} row {i} must be a list, got {row!r}")
+        if not all(type(x) is int for x in row):
+            for j, x in enumerate(row):
+                strict_int(x, f"{what} entry [{i}][{j}]")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class IntMatrix:
     """Immutable integer matrix stored row-major as nested tuples.
 

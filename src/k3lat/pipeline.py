@@ -20,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import ChainInconsistencyError, DomainError, InconsistentDataError
+from .intmat import strict_int
 from .lattices import (
     ADEConfig,
     config_lattice,
@@ -401,13 +402,6 @@ def tables_disjoint(extra_configs=()) -> bool:
 # -- record file format ----------------------------------------------------
 
 
-def _strict_int(value, what):
-    """A JSON integer; booleans, fractional numbers, strings and null are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _strict_str(value, what):
     if not isinstance(value, str):
         raise DomainError(f"{what} must be a string, got {value!r}")
@@ -428,7 +422,7 @@ def record_from_dict(obj: dict) -> ActionRecord:
     if census is not None:
         try:
             census = {
-                int(k): _strict_int(v, f"{name}: census count for order {k}")
+                int(k): strict_int(v, f"{name}: census count for order {k}")
                 for k, v in census.items()
             }
         except (AttributeError, ValueError):
@@ -438,11 +432,11 @@ def record_from_dict(obj: dict) -> ActionRecord:
 
     def optional_int(field):
         value = obj[field]
-        return None if value is None else _strict_int(value, f"{name}: {field}")
+        return None if value is None else strict_int(value, f"{name}: {field}")
 
     rec = ActionRecord(
         name=name,
-        group_order=_strict_int(obj["group_order"], f"{name}: group_order"),
+        group_order=strict_int(obj["group_order"], f"{name}: group_order"),
         census=census,
         config=ADEConfig.parse(_strict_str(obj["config"], f"{name}: config")),
         glue_index=optional_int("glue_index"),

@@ -156,6 +156,35 @@ def test_h3_commands(tmp_path, capsys):
     assert "h3_order" in err
 
 
+@pytest.mark.parametrize("payload, fragment", [
+    ({"cayley": [[0, 1.9], [1, 0.2]]}, "Cayley table entry [0][1] must be an integer"),
+    ({"cayley": 5}, "Cayley table must be a list of rows"),
+    ({"perm_generators": [5]}, "perm_generators must be a list of cycle strings"),
+    ({"perm_generators": "(1,2)"}, "perm_generators must be a list of cycle strings"),
+])
+def test_h3_rejects_malformed_group_exit_one(tmp_path, capsys, payload, fragment):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "h3", str(path))
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
+@pytest.mark.parametrize("payload, fragment", [
+    ({"gram": [[2.9, 1], [1, 2]]}, "gram entry [0][0] must be an integer"),
+    ({"gram": 5}, "gram must be a list of rows"),
+])
+def test_genus_rejects_non_integer_gram_exit_one(tmp_path, capsys, payload, fragment):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "genus", "--rank", "2", "--det", "3",
+                             "--disc-from-gram", str(path))
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
 def test_tables_output(capsys):
     code, out, _ = run_cli(capsys, "--json", "tables")
     assert code == 0

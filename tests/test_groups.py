@@ -1,10 +1,19 @@
-import pytest
+import itertools
+import time
 
+import pytest
+from h3_reference import cochain_h3, compose_is_zero
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3lat import groups
 from k3lat.errors import DomainError, ResourceLimitError
 from k3lat.groups import (
+    ASSOC_VALIDATION_LIMIT,
     FiniteGroup,
-    _compose_is_zero,
-    _coboundary_rows,
+    _boundary,
+    _eliminate_units,
+    _is_associative,
     _rank_exact_sparse,
     h3_bar_resolution,
     order_census,
@@ -176,9 +185,7 @@ def test_h3_cap():
 
 def test_coboundary_composition_is_zero():
     for g in (S3, V4, FiniteGroup.cyclic(5)):
-        d2 = _coboundary_rows(g.table, 2)
-        d3 = _coboundary_rows(g.table, 3)
-        assert _compose_is_zero(d3, d2)
+        assert compose_is_zero(_boundary(g.table, 3), _boundary(g.table, 2))
 
 
 def test_h3_matches_schur_multiplier_orders():
@@ -198,3 +205,164 @@ def test_rank_exact_sparse():
     assert _rank_exact_sparse(rows) == 2
     assert _rank_exact_sparse([{0: 6, 1: 10}, {0: 15, 1: 25}]) == 1
     assert _rank_exact_sparse([{}]) == 0
+
+
+def test_boundary_shapes():
+    # (n-1)^3 cells of at most 4 terms, indexed into (n-1)^2 rows
+    d3 = _boundary(S3.table, 3)
+    assert len(d3) == 5 ** 3
+    assert all(len(col) <= 4 and all(0 <= r < 25 for r in col) for col in d3)
+    # [a|b] -> [b] - [ab] + [a]; in C2 the product term drops out
+    assert _boundary(FiniteGroup.cyclic(2).table, 2) == [{0: 2}]
+
+
+def test_eliminate_units_modulo_a_composite():
+    # 12 * 12 = 0 mod 144, so an update may cancel an entry that was never
+    # there; e_0 = v1 - 12 v2 + 144 e_2 lies in the span
+    pivots, rest = _eliminate_units([{0: 1, 1: 12}, {1: 1, 2: 12}, {0: 12}, {2: 6}], 144)
+    assert pivots == {0: {0: 1}, 1: {1: 1, 2: 12}}
+    assert rest == [{2: 6}]
+    # over a prime field every nonzero entry is a unit
+    pivots, rest = _eliminate_units([{0: 2, 1: 4}, {0: 1, 1: 2}, {2: 5}], 7)
+    assert (len(pivots), rest) == (2, [])
+
+
+def relabel(table, perm):
+    """Table of the same group with element i renamed perm[i]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def dicyclic(k):
+    """Dic_k of order 4k: elements a^i x^e with x^2 = a^k, x a x^-1 = a^-1."""
+    n = 2 * k
+
+    def mul(p, q):
+        (i1, e1), (i2, e2) = p, q
+        if e1 == 0:
+            return ((i1 + i2) % n, e2)
+        if e2 == 0:
+            return ((i1 - i2) % n, 1)
+        return ((i1 - i2 + k) % n, 0)
+
+    elems = [(i, e) for e in (0, 1) for i in range(n)]
+    index = {x: i for i, x in enumerate(elems)}
+    return FiniteGroup([[index[mul(p, q)] for q in elems] for p in elems])
+
+
+# groups of order <= 6, one per isomorphism class
+SMALL_GROUPS = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [V4, S3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_h3_routes_agree_under_relabelling(data):
+    g = data.draw(st.sampled_from(SMALL_GROUPS))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    h = FiniteGroup(relabel(g.table, perm))
+    assert h3_bar_resolution(h) == cochain_h3(h) == cochain_h3(g)
+
+
+def test_h3_known_multipliers_of_products_and_dicyclic():
+    c2_cubed = FiniteGroup.from_cycles(["(1,2)", "(3,4)", "(5,6)"])
+    c3_squared = FiniteGroup.from_cycles(["(1,2,3)", "(4,5,6)"])
+    c2_c6 = FiniteGroup.from_cycles(["(1,2)", "(3,4,5,6,7,8)"])
+    dic3 = dicyclic(3)
+    assert (c2_cubed.order, c3_squared.order, c2_c6.order, dic3.order) == (8, 9, 12, 12)
+    assert h3_bar_resolution(c2_cubed) == (2, 2, 2)
+    assert h3_bar_resolution(c3_squared) == (3,)
+    assert h3_bar_resolution(c2_c6) == (2,)
+    assert h3_bar_resolution(dic3) == ()
+
+
+def test_h3_exact_rank_fallback(monkeypatch):
+    # Over F_2 the rank of d3 drops by the Z/2 in H_2(V4), so no prime
+    # certifies the free rank and the exact sparse ranks decide.
+    calls = []
+
+    def exact(rows):
+        calls.append(len(rows))
+        return _rank_exact_sparse(rows)
+
+    monkeypatch.setattr(groups, "_RANK_PRIMES", (2,))
+    monkeypatch.setattr(groups, "_rank_exact_sparse", exact)
+    assert h3_bar_resolution(V4) == (2,)
+    assert calls == [9, 27]
+
+
+@pytest.mark.parametrize("table, what", [
+    ([[0, 1.0], [1, 0]], "entry [0][1]"),
+    ([[0, 1], [1, 0.2]], "entry [1][1]"),
+    ([[0, True], [True, 0]], "entry [0][1]"),
+    ([[0, 1], "10"], "row 1"),
+    (5, "list of rows"),
+])
+def test_cayley_entries_are_strict_integers(table, what):
+    with pytest.raises(DomainError, match=what.replace("[", r"\[").replace("]", r"\]")):
+        FiniteGroup(table)
+
+
+def brute_force_associative(table):
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def intercalates(table):
+    """2x2 Latin subsquares off the identity row and column."""
+    n = len(table)
+    return [(i, k, j, l)
+            for i, k in itertools.combinations(range(1, n), 2)
+            for j, l in itertools.combinations(range(1, n), 2)
+            if table[i][j] == table[k][l] and table[i][l] == table[k][j]]
+
+
+GROUPS_UP_TO_8 = SMALL_GROUPS + [
+    FiniteGroup.cyclic(7),
+    FiniteGroup.cyclic(8),
+    FiniteGroup.from_cycles(["(1,2)", "(3,4,5,6)"]),
+    FiniteGroup.from_cycles(["(1,2)", "(3,4)", "(5,6)"]),
+    FiniteGroup.from_cycles(["(1,2,3,4)", "(1,3)"]),
+    dicyclic(2),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_light_test_matches_brute_force(data):
+    g = data.draw(st.sampled_from(GROUPS_UP_TO_8))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    table = relabel(g.table, perm)
+    # flipping an intercalate keeps a Latin square with identity 0, and
+    # usually breaks associativity
+    for _ in range(data.draw(st.integers(0, 3))):
+        spots = intercalates(table)
+        if not spots:
+            break
+        i, k, j, l = data.draw(st.sampled_from(spots))
+        table[i][j], table[i][l] = table[i][l], table[i][j]
+        table[k][j], table[k][l] = table[k][l], table[k][j]
+    rows = tuple(map(tuple, table))
+    expected = brute_force_associative(rows)
+    assert _is_associative(rows) == expected
+    if expected:
+        assert FiniteGroup(table).order == g.order
+    else:
+        with pytest.raises(DomainError, match="not associative"):
+            FiniteGroup(table)
+
+
+def test_raw_table_at_the_validation_limit():
+    # C2^10 as bit vectors under xor: a raw table of the largest order
+    # whose associativity is still checked
+    n = ASSOC_VALIDATION_LIMIT
+    assert n == 1 << 10
+    t0 = time.monotonic()
+    g = FiniteGroup([[a ^ b for b in range(n)] for a in range(n)])
+    elapsed = time.monotonic() - t0
+    assert g.order == n
+    print(f"validated a raw order-{n} Cayley table in {elapsed:.2f}s")

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import k3lat
@@ -16,3 +19,12 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_does_not_load_numpy():
+    # numpy is no dependency; importing it would cost every CLI start
+    code = "import sys, k3lat; print('numpy' in sys.modules)"
+    src = str(Path(k3lat.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
