@@ -21,10 +21,11 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     column_space_basis,
-    invert_unimodular,
+    factorize,
     kernel_basis,
     smith_normal_form,
     solve_exact,
+    strict_int,
 )
 
 # Subgroup and fingerprint searches materialize group elements; beyond this
@@ -57,7 +58,10 @@ class FiniteQuadraticForm:
     __slots__ = ("orders", "q", "b")
 
     def __init__(self, orders, q_values, b_matrix):
-        orders = tuple(int(d) for d in orders)
+        orders = tuple(orders)
+        if not all(type(d) is int for d in orders):
+            for i, d in enumerate(orders):
+                strict_int(d, f"order {i} of a finite quadratic form")
         if any(d < 2 for d in orders):
             raise DomainError("cyclic factor orders must all exceed 1")
         k = len(orders)
@@ -164,8 +168,9 @@ TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
 def disc_form(l) -> FiniteQuadraticForm:
     """Discriminant form of an even nonsingular lattice.
 
-    Generators come from the Smith form of the Gram matrix; their values
-    are dual-vector norms computed from exact rational inverses.
+    With u G v = D (Smith form of the Gram matrix G), the generators are
+    x_j = v e_j / d_j for d_j > 1, and the values are read off v^T G v over
+    the Smith diagonal: b_ij = (v^T G v)_ij / (d_i d_j), q_i = b_ii mod 2.
     """
     if not l.even:
         raise DomainError("discriminant forms need an even lattice")
@@ -175,21 +180,21 @@ def disc_form(l) -> FiniteQuadraticForm:
     if l.det == 0:
         raise DegenerateLatticeError("lattice is degenerate")
     sf = smith_normal_form(l.gram)
-    uinv = invert_unimodular(sf.u)
-    w = uinv.transpose().mul(sf.v)
-    keep = [i for i, d in enumerate(sf.d) if d > 1]
-    # Pairing of quotient generators i, j is w[i][j]/d_j, an exactly
-    # symmetric rational; checked because it guards the whole construction.
-    for i in keep:
-        for j in keep:
-            if Fraction(w.rows[i][j], sf.d[j]) != Fraction(w.rows[j][i], sf.d[i]):
-                raise InconsistentDataError(
-                    f"discriminant pairing is not symmetric at generators {i}, {j}"
-                )
-    orders = [sf.d[i] for i in keep]
-    q = [Fraction(w.rows[i][i], sf.d[i]) for i in keep]
-    b = [[Fraction(w.rows[i][j], sf.d[j]) for j in keep] for i in keep]
-    return FiniteQuadraticForm(orders, q, b)
+    keep = [j for j, d in enumerate(sf.d) if d > 1]
+    orders = [sf.d[j] for j in keep]
+    cols = [[row[j] for row in sf.v.rows] for j in keep]
+    gcols = [[sum(g * c for g, c in zip(grow, col)) for grow in l.gram.rows]
+             for col in cols]
+    # G x_j must be integral, i.e. x_j lies in the dual lattice; this
+    # certifies the Smith transform the whole construction rests on.
+    for j, d, gcol in zip(keep, orders, gcols):
+        if any(x % d for x in gcol):
+            raise InconsistentDataError(
+                f"discriminant generator {j} is not in the dual lattice"
+            )
+    b = [[Fraction(sum(a * c for a, c in zip(col, gcol)), di * dj)
+          for gcol, dj in zip(gcols, orders)] for col, di in zip(cols, orders)]
+    return FiniteQuadraticForm(orders, [b[i][i] for i in range(len(keep))], b)
 
 
 def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -223,18 +228,12 @@ def orthogonal_sum(forms) -> FiniteQuadraticForm:
 
 def _primary_embeddings(q: FiniteQuadraticForm):
     """Per prime: (part form, ambient coefficient vector of each part generator)."""
-    primes = sorted({p for d in q.orders for p in _prime_factors(d)})
+    factored = [factorize(d) for d in q.orders]
     out = {}
-    for p in primes:
-        gens = []  # (ambient index, multiplier, p-power order)
-        for i, d in enumerate(q.orders):
-            e = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                e += 1
-            if e:
-                gens.append((i, d // p**e, p**e))
+    for p in sorted({p for f in factored for p in f}):
+        # (ambient index, multiplier, p-power order)
+        gens = [(i, d // p**f[p], p**f[p])
+                for i, (d, f) in enumerate(zip(q.orders, factored)) if p in f]
         orders = [pe for (_, _, pe) in gens]
         qv = []
         b = [[Fraction(0)] * len(gens) for _ in range(len(gens))]
@@ -249,20 +248,6 @@ def _primary_embeddings(q: FiniteQuadraticForm):
                 vec2[j] = c2
                 b[a][t] = q.b_of(vec, vec2)
         out[p] = (FiniteQuadraticForm(orders, qv, b), vectors)
-    return out
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 
@@ -401,14 +386,9 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int,
         return [frozenset({q.zero})]
     embeddings = _primary_embeddings(q)
     per_prime = []
-    for p in _prime_factors(order):
-        pk = 1
-        o = order
-        while o % p == 0:
-            o //= p
-            pk *= p
+    for p, e in factorize(order).items():
         part, vectors = embeddings[p]
-        subs = _isotropic_subgroups_of_part(part, pk, node_budget)
+        subs = _isotropic_subgroups_of_part(part, p**e, node_budget)
         if not subs:
             return []
         ambient_subs = []
@@ -480,10 +460,19 @@ def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
     if any(val.denominator != 1 for row in x for val in row):
         raise DomainError("subgroup lattice does not sit inside its perp")
     sf = smith_normal_form(IntMatrix([[int(val) for val in row] for row in x]))
-    new_basis = lam.mul(invert_unimodular(sf.u))
+    # With u x v = D, lam u^-1 = lam_h v D^-1: the quotient generators are
+    # the columns of lam_h v over their Smith entries.
+    hv = lam_h.mul(sf.v)
     keep = [j for j, d in enumerate(sf.d) if d > 1]
     orders = [sf.d[j] for j in keep]
-    gens = [tuple(new_basis.rows[i][j] for i in range(k)) for j in keep]
+    gens = []
+    for j, d in zip(keep, orders):
+        col = [hv.rows[i][j] for i in range(k)]
+        if any(c % d for c in col):
+            raise InconsistentDataError(
+                f"overlattice generator {j} is not integral over its Smith entry {d}"
+            )
+        gens.append(tuple(c // d for c in col))
     qv = [q.q_of(g) for g in gens]
     b = [[q.b_of(g1, g2) for g2 in gens] for g1 in gens]
     return FiniteQuadraticForm(orders, qv, b)

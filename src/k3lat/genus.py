@@ -18,7 +18,7 @@ from math import isqrt
 
 from .discforms import FiniteQuadraticForm, are_isomorphic, disc_form
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
-from .intmat import IntMatrix, invariant_factors
+from .intmat import IntMatrix, invariant_factors, strict_int_rows
 from .lattices import GramLattice, disc_group
 
 DET_BOUND = 100_000
@@ -31,7 +31,7 @@ class ReducedForm:
     gram: tuple
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = strict_int_rows(self.gram, "ReducedForm gram")
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if not 1 <= n <= 3 or any(len(r) != n for r in gram):

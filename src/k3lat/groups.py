@@ -81,7 +81,7 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, perms, limit=PERMUTATION_CLOSURE_LIMIT):
         """Close a set of permutations (tuples of images) into a group."""
-        perms = [tuple(p) for p in perms]
+        perms = strict_int_rows([tuple(p) for p in perms], "permutation images")
         if not perms:
             raise DomainError("need at least one generator")
         deg = len(perms[0])

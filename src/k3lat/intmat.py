@@ -1,4 +1,5 @@
-"""Exact integer matrix arithmetic: determinants, Smith normal form, kernels.
+"""Exact integer arithmetic: determinants, Smith normal form, kernels,
+prime factorization.
 
 Everything here runs on Python's arbitrary-precision integers.  The
 Bareiss intermediates for a rank-19 Gram matrix already overflow 64 bits,
@@ -49,7 +50,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = strict_int_rows(rows, "IntMatrix")
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise DimensionError("ragged rows in matrix literal")
@@ -290,30 +291,6 @@ def rank(a: IntMatrix) -> int:
     return sum(1 for x in invariant_factors(a) if x != 0)
 
 
-def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    if not a.is_square():
-        raise DimensionError("only square matrices can be inverted")
-    n = a.nrows
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a.rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    out = [[x for x in row[n:]] for row in m]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise DomainError("matrix is not unimodular")
-    return IntMatrix([[int(x) for x in row] for row in out])
-
-
 def solve_exact(a: IntMatrix, b: IntMatrix):
     """Solve a @ x = b over the rationals for square nonsingular ``a``.
 
@@ -363,6 +340,26 @@ def column_space_basis(a: IntMatrix) -> IntMatrix:
     r = sum(1 for x in sf.d if x != 0)
     if r != a.nrows:
         raise DomainError("columns do not span a full-rank lattice")
-    uinv = invert_unimodular(sf.u)
-    cols = [[uinv.rows[i][j] * sf.d[j] for j in range(r)] for i in range(a.nrows)]
-    return IntMatrix(cols)
+    # u a v = [D 0], so the first r columns of a v are u^-1 D.
+    return IntMatrix([row[:r] for row in a.mul(sf.v).rows])
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization {p: e} of a positive integer, primes ascending.
+
+    >>> factorize(360)
+    {2: 3, 3: 2, 5: 1}
+    """
+    strict_int(n, "number to factorize")
+    if n < 1:
+        raise DomainError(f"only positive integers factorize, got {n}")
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out

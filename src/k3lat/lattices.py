@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DegenerateLatticeError, DomainError
-from .intmat import IntMatrix, det_exact, invariant_factors
+from .intmat import IntMatrix, det_exact, invariant_factors, strict_int
 
 _ADE_RANK_BOUNDS = {"A": 1, "D": 4, "E": 6}
 
@@ -188,7 +188,7 @@ def disc_group(l: GramLattice) -> tuple:
 
 def rescale(l: GramLattice, k: int) -> GramLattice:
     """Multiply the form by a positive integer k."""
-    if k <= 0:
+    if strict_int(k, "scale factor") <= 0:
         raise DomainError(f"scale factor must be positive, got {k}")
     return GramLattice(IntMatrix([[k * x for x in row] for row in l.gram.rows]))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import ChainInconsistencyError, DomainError, InconsistentDataError
-from .intmat import strict_int
+from .intmat import factorize, strict_int
 from .lattices import (
     ADEConfig,
     config_lattice,
@@ -140,22 +140,8 @@ def factored(n: int) -> str:
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    if n == 1:
-        return sign + "1"
-    parts = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            parts.append(f"{d}^{e}" if e > 1 else f"{d}")
-        d += 1
-    if n > 1:
-        parts.append(f"{n}")
-    return sign + "*".join(parts)
+    parts = [f"{p}^{e}" if e > 1 else f"{p}" for p, e in factorize(abs(n)).items()]
+    return sign + ("*".join(parts) or "1")
 
 
 def rank_from_config(config: ADEConfig) -> int:
@@ -212,16 +198,8 @@ def xiao_consistency(config: ADEConfig, group_order: int) -> bool:
 
 def _euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            out -= out // d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p in factorize(n):
+        out -= out // p
     return out
 
 
@@ -350,15 +328,8 @@ def check_disc_group(rec: ActionRecord, expected_primary: dict) -> bool:
     factors = disc_group(config_lattice(rec.config))
     found = {}
     for d in factors:
-        p = 2
-        while d > 1:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                found.setdefault(p, []).append(e)
-            p += 1
+        for p, e in factorize(d).items():
+            found.setdefault(p, []).append(e)
     found = {p: sorted(es) for p, es in found.items()}
     return found == {p: sorted(es) for p, es in expected_primary.items()}
 

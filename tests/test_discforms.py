@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from k3lat import discforms
 from k3lat.discforms import (
     FiniteQuadraticForm,
     are_isomorphic,
@@ -14,7 +20,8 @@ from k3lat.discforms import (
     overlattice_disc,
     p_primary_parts,
 )
-from k3lat.errors import DomainError, ResourceLimitError
+from k3lat.errors import DomainError, InconsistentDataError, ResourceLimitError
+from k3lat.intmat import IntMatrix
 from k3lat.lattices import (
     ADEConfig,
     GramLattice,
@@ -210,3 +217,151 @@ def test_disc_form_of_sum_matches_sum_of_forms():
         combined = disc_form(direct_sum(parts))
         blockwise = orthogonal_sum([disc_form(p) for p in parts])
         assert are_isomorphic(combined, blockwise)
+
+
+def test_form_orders_are_strict_integers():
+    with pytest.raises(DomainError, match="order 0"):
+        FiniteQuadraticForm((2.5,), (Fraction(1, 2),), ((Fraction(1, 2),),))
+    with pytest.raises(DomainError, match="order 1"):
+        FiniteQuadraticForm((2, True), (0, 0), ((0, 0), (0, 0)))
+
+
+# -- independent references for the Smith-transform constructions ------------
+
+def _leibniz_det(g):
+    n = len(g)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(g[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def even_lattices(draw, max_det=30):
+    """(Gram in a seeded unimodular basis, det) of an even nondegenerate
+    lattice of rank <= 3 with |det| <= max_det."""
+    n = draw(st.integers(1, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    det = _leibniz_det(g)
+    assume(det != 0 and abs(det) <= max_det)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in p:
+            row[j] += c * row[i]
+    gram = [[sum(p[a][i] * g[a][b] * p[b][j] for a in range(n) for b in range(n))
+             for j in range(n)] for i in range(n)]
+    return gram, det
+
+
+def _brute_disc_fingerprint(gram, det):
+    """(order, y^T G y mod 2) over y in G^-1 Z^n / Z^n, and the group order.
+
+    G^-1 = adj(G) / det, so every class has a representative in
+    (1/|det|) Z^n with coordinates in [0, 1); no Smith transform is used.
+    """
+    n, m = len(gram), abs(det)
+    items = []
+    for y in itertools.product(range(m), repeat=n):
+        if any(sum(row[k] * y[k] for k in range(n)) % m for row in gram):
+            continue
+        v = [Fraction(c, m) for c in y]
+        norm = sum(v[i] * gram[i][k] * v[k] for i in range(n) for k in range(n))
+        items.append((lcm(1, *(x.denominator for x in v)), norm % 2))
+    return tuple(sorted(items)), len(items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_lattices())
+def test_disc_form_matches_brute_force(lattice):
+    gram, det = lattice
+    q = disc_form(GramLattice(gram))
+    fingerprint, order = _brute_disc_fingerprint(gram, det)
+    assert order == abs(det)
+    assert q.group_order == abs(det)
+    assert element_fingerprint(q) == fingerprint
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_lattices(), even_lattices())
+def test_disc_form_of_direct_sum_is_orthogonal_sum(l1, l2):
+    lats = [GramLattice(l1[0]), GramLattice(l2[0])]
+    combined = disc_form(direct_sum(lats))
+    assert are_isomorphic(combined, orthogonal_sum([disc_form(l) for l in lats]))
+
+
+def _brute_quotient_fingerprint(q, h):
+    """(order, q value) over the cosets of h in h_perp, by enumeration."""
+    h = set(h)
+    perp = [x for x in q.elements() if all(q.b_of(x, y) == 0 for y in h)]
+    reps = {}
+    for x in perp:
+        reps.setdefault(min(q.add(x, y) for y in h), x)
+    items = []
+    for x in reps.values():
+        k, cur = 1, x
+        while cur not in h:
+            cur, k = q.add(cur, x), k + 1
+        items.append((k, q.q_of(x)))
+    return tuple(sorted(items))
+
+
+def _seeded_basis(lat, seed):
+    rng = random.Random(seed)
+    n = lat.rank
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        for row in p:
+            row[j] += row[i]
+    pm = IntMatrix(p)
+    return GramLattice(pm.transpose().mul(lat.gram).mul(pm))
+
+
+@pytest.mark.parametrize("config,seed", [
+    ("4*A1", 0), ("2*A3", 1), ("3*A2", 2), ("A3,2*A1", 3), ("A5,A2", 4), ("D4,2*A1", 5),
+])
+def test_overlattice_disc_matches_brute_force(config, seed):
+    q = disc_form(_seeded_basis(config_lattice(ADEConfig.parse(config)), seed))
+    nontrivial = 0
+    for order in range(2, q.group_order + 1):
+        if q.group_order % (order * order):
+            continue
+        for h in isotropic_subgroups(q, order):
+            induced = overlattice_disc(q, h)
+            assert induced.group_order * order * order == q.group_order
+            assert element_fingerprint(induced) == _brute_quotient_fingerprint(q, h)
+            nontrivial += 1
+    assert nontrivial
+
+
+def _with_reversed_v(monkeypatch):
+    """Make discforms see Smith forms whose v has its columns reversed."""
+    real = discforms.smith_normal_form
+
+    def corrupted(a):
+        sf = real(a)
+        return dataclasses.replace(sf, v=IntMatrix([row[::-1] for row in sf.v.rows]))
+
+    monkeypatch.setattr(discforms, "smith_normal_form", corrupted)
+
+
+def test_disc_form_guard_rejects_a_corrupted_transform(monkeypatch):
+    _with_reversed_v(monkeypatch)
+    with pytest.raises(InconsistentDataError, match="dual lattice"):
+        disc_form(A2)
+
+
+def test_overlattice_guard_rejects_a_corrupted_transform(monkeypatch):
+    q = disc_form(_seeded_basis(config_lattice(ADEConfig.parse("4*A1")), 0))
+    h = isotropic_subgroups(q, 2)[0]
+    _with_reversed_v(monkeypatch)
+    with pytest.raises(InconsistentDataError, match="not integral"):
+        overlattice_disc(q, h)

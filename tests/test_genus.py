@@ -44,6 +44,16 @@ def test_reduced_form_validation():
         ReducedForm(((2, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("gram, what", [
+    (((2.7,),), r"entry \[0\]\[0\]"),
+    (((2, 1), (True, 2)), r"entry \[1\]\[0\]"),
+    (((2,), 2), "row 1"),
+])
+def test_reduced_form_entries_are_strict_integers(gram, what):
+    with pytest.raises(DomainError, match=what):
+        ReducedForm(gram)
+
+
 def test_short_vectors_a2():
     gram = ((2, 1), (1, 2))
     vs = short_vectors(gram, 2)

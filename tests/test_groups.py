@@ -306,6 +306,12 @@ def test_cayley_entries_are_strict_integers(table, what):
         FiniteGroup(table)
 
 
+@pytest.mark.parametrize("perms", [[(1.0, 0)], [(1, 0), (0, True, 2)], [(0, 1), "10"]])
+def test_permutation_images_are_strict_integers(perms):
+    with pytest.raises(DomainError, match="permutation images"):
+        FiniteGroup.from_permutations(perms)
+
+
 def brute_force_associative(table):
     n = len(table)
     return all(table[table[a][b]][c] == table[a][table[b][c]]

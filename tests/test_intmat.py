@@ -1,12 +1,17 @@
+import itertools
+from math import gcd, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat.errors import DimensionError, DomainError
 from k3lat.intmat import (
     IntMatrix,
     column_space_basis,
     det_exact,
+    factorize,
     invariant_factors,
-    invert_unimodular,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -56,13 +61,6 @@ def test_snf_rectangular():
     assert sf.u.mul(m).mul(sf.v) == IntMatrix([[1, 0], [0, 6], [0, 0]])
 
 
-def test_invert_unimodular():
-    u = IntMatrix([[2, 1], [1, 1]])
-    assert invert_unimodular(u).mul(u) == IntMatrix.identity(2)
-    with pytest.raises(DomainError):
-        invert_unimodular(IntMatrix([[2, 0], [0, 2]]))
-
-
 def test_solve_exact():
     a = IntMatrix([[2, 1], [1, 1]])
     b = IntMatrix([[3], [2]])
@@ -87,3 +85,52 @@ def test_column_space_basis_full_rank():
 def test_rank():
     assert rank(IntMatrix([[1, 2], [2, 4]])) == 1
     assert rank(IntMatrix([[1, 0], [0, 1]])) == 2
+
+
+@pytest.mark.parametrize("rows", [[[2.9, 1], [1, 2]], [[True]], [[2, 1], [1, "2"]]])
+def test_intmatrix_entries_are_strict_integers(rows):
+    with pytest.raises(DomainError, match="IntMatrix entry"):
+        IntMatrix(rows)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % k for k in range(2, int(p**0.5) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**4))
+def test_factorize_multiplies_back(n):
+    f = factorize(n)
+    assert prod(p**e for p, e in f.items()) == n
+    assert list(f) == sorted(f)
+    assert all(_is_prime(p) and e >= 1 for p, e in f.items())
+
+
+@pytest.mark.parametrize("n", [0, -4, True, 2.0])
+def test_factorize_refuses_non_positive_and_non_integers(n):
+    with pytest.raises(DomainError):
+        factorize(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_space_basis_spans_the_columns(data):
+    r = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(r, r + 3))
+    entries = st.integers(-6, 6)
+    a = IntMatrix(data.draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                                     min_size=r, max_size=r)))
+    # det of the column lattice: gcd of the maximal minors (0 if not full rank)
+    minors = [det_exact(IntMatrix([[row[j] for j in cols] for row in a.rows]))
+              for cols in itertools.combinations(range(c), r)]
+    covolume = gcd(*minors)
+    if covolume == 0:
+        with pytest.raises(DomainError):
+            column_space_basis(a)
+        return
+    basis = column_space_basis(a)
+    assert basis.shape == (r, r)
+    assert abs(det_exact(basis)) == covolume
+    # every input column is an integer combination of the basis
+    x = solve_exact(basis, a)
+    assert all(v.denominator == 1 for row in x for v in row)

@@ -80,6 +80,12 @@ def test_rescale():
         rescale(a1, 0)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+def test_rescale_factor_is_a_strict_integer(k):
+    with pytest.raises(DomainError, match="scale factor"):
+        rescale(ade_lattice(RootComponent("A", 1)), k)
+
+
 def test_det_sign():
     assert det_sign(3, 2) == 1
     assert det_sign(0, 17) == -1

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from k3lat.errors import ChainInconsistencyError, DomainError, InconsistentDataError
@@ -5,6 +7,7 @@ from k3lat.lattices import ADEConfig
 from k3lat.pipeline import (
     DEFAULT_FIXED_POINT_PROFILE,
     ActionRecord,
+    _euler_phi,
     check_disc_group,
     derive_fixed_point_profile,
     discriminant_chain,
@@ -294,3 +297,8 @@ def test_factored():
     assert factored(-1) == "-1"
     assert factored(0) == "0"
     assert factored(7) == "7"
+
+
+def test_euler_phi_counts_coprime_residues():
+    for n in range(1, 301):
+        assert _euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
