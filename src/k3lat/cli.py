@@ -165,16 +165,7 @@ def cmd_verify(args, seed=0) -> int:
     rows = []
     for rec in records:
         xiao = pipeline.xiao_consistency(rec.config, rec.group_order)
-        if rec.census is None:
-            cross = None
-        else:
-            try:
-                cross = (
-                    pipeline.rank_from_group(rec.census, rec.group_order, profile)
-                    == pipeline.rank_from_config(rec.config)
-                )
-            except InconsistentDataError:
-                cross = False
+        cross, _ = pipeline.rank_cross_check(rec, profile)
         rows.append({"name": rec.name, "xiao_ok": xiao, "rank_cross_ok": cross})
     disjoint = pipeline.tables_disjoint([r.config for r in records])
     selfcheck = _selfcheck_snf(seed)

@@ -1,9 +1,11 @@
 """Finite quadratic forms on finite abelian groups.
 
 A form lives on A = Z/d_1 + ... + Z/d_k and takes values in Q/2Z, with
-the associated bilinear form b in Q/Z.  All values are exact reduced
-rationals; equality mod 2Z / mod 1 is Fraction equality after
-normalization, so there is no rounding ambiguity anywhere.
+the associated bilinear form b in Q/Z.  Every value has a denominator
+dividing the level N = lcm(d_1, ..., d_k), so a form is stored as one
+symmetric integer matrix of numerators over N: q on the generators mod 2N
+on the diagonal, b mod N off it.  Evaluation is an integer sum reduced
+with ``%``; values are returned as exact reduced ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -32,32 +34,25 @@ from .intmat import (
 # many elements per primary part they refuse instead of thrashing.
 MATERIALIZE_LIMIT = 10_000
 
-# Default cap on backtracking nodes per primary part in isomorphism and
-# subgroup searches.
+# Cap on backtracking nodes per primary part in isomorphism and subgroup
+# searches.
 SEARCH_NODE_BUDGET = 10**6
-
-
-def _mod2(x) -> Fraction:
-    x = Fraction(x)
-    return x - 2 * (x / 2).__floor__()
-
-
-def _mod1(x) -> Fraction:
-    x = Fraction(x)
-    return x - x.__floor__()
 
 
 class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z on generators of a finite abelian group.
 
-    ``orders`` lists the cyclic factor orders (each > 1), ``q`` the form
-    values on the generators, and ``b`` the full symmetric matrix of
-    bilinear values.  Elements are coefficient tuples over the generators.
+    ``orders`` lists the cyclic factor orders (each > 1).  ``gram`` is one
+    symmetric matrix of ints or Fractions: its diagonal holds q on the
+    generators (mod 2), the other entries hold b (mod 1).  It is stored as
+    integer numerators over ``level = lcm(orders)``, the diagonal reduced
+    mod 2 * level and the rest mod level.  Elements are coefficient tuples
+    over the generators.
     """
 
-    __slots__ = ("orders", "q", "b")
+    __slots__ = ("orders", "level", "gram")
 
-    def __init__(self, orders, q_values, b_matrix):
+    def __init__(self, orders, gram):
         orders = tuple(orders)
         if not all(type(d) is int for d in orders):
             for i, d in enumerate(orders):
@@ -65,31 +60,36 @@ class FiniteQuadraticForm:
         if any(d < 2 for d in orders):
             raise DomainError("cyclic factor orders must all exceed 1")
         k = len(orders)
-        q = tuple(_mod2(x) for x in q_values)
-        b = tuple(tuple(_mod1(x) for x in row) for row in b_matrix)
-        if len(q) != k or len(b) != k or any(len(row) != k for row in b):
-            raise DomainError("generator data sizes disagree")
-        for i, d in enumerate(orders):
-            if (2 * d) % q[i].denominator != 0:
-                raise DomainError(
-                    f"q value {q[i]} too fine for a generator of order {d}"
-                )
-            if _mod2(d * d * q[i]) != 0:
-                raise DomainError(
-                    f"q value {q[i]} is not well defined on Z/{d}"
-                )
-            if _mod1(b[i][i] - q[i]) != 0:
-                raise DomainError("diagonal of b must agree with q mod 1")
-            for j in range(k):
-                if b[i][j] != b[j][i]:
-                    raise DomainError("b must be symmetric")
-                if _mod1(gcd(d, orders[j]) * b[i][j]) != 0:
+        rows = tuple(tuple(row) for row in gram)
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise DomainError(f"a form on {k} generators needs a {k}x{k} matrix")
+        level = lcm(1, *orders)
+        nums = []
+        for i, (row, d) in enumerate(zip(rows, orders)):
+            nrow = []
+            for j, (x, dj) in enumerate(zip(row, orders)):
+                if type(x) is not int and type(x) is not Fraction:
                     raise DomainError(
-                        f"b value {b[i][j]} too fine for orders {d}, {orders[j]}"
+                        f"form entry [{i}][{j}] must be an int or a Fraction, got {x!r}"
                     )
+                # b_ij is defined mod 1 on Z/d_i x Z/d_j; on the diagonal
+                # this gives d_i q_i in Z as well.
+                if (gcd(d, dj) * x) % 1:
+                    raise DomainError(
+                        f"form entry [{i}][{j}] = {x} too fine for orders {d}, {dj}"
+                    )
+                nrow.append(int(x * level) % (2 * level if i == j else level))
+            nums.append(tuple(nrow))
+            if nrow[i] * d * d % (2 * level):
+                raise DomainError(
+                    f"q value {rows[i][i]} is not well defined on Z/{d}"
+                )
+        for i, j in itertools.combinations(range(k), 2):
+            if nums[i][j] != nums[j][i]:
+                raise DomainError(f"form entries [{i}][{j}] and [{j}][{i}] differ mod 1")
         self.orders = orders
-        self.q = q
-        self.b = b
+        self.level = level
+        self.gram = tuple(nums)
 
     # -- basic group plumbing -------------------------------------------
 
@@ -102,7 +102,7 @@ class FiniteQuadraticForm:
         return (0,) * len(self.orders)
 
     def reduce(self, x) -> tuple:
-        return tuple(int(a) % d for a, d in zip(x, self.orders))
+        return tuple(a % d for a, d in zip(x, self.orders))
 
     def add(self, x, y) -> tuple:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
@@ -123,46 +123,41 @@ class FiniteQuadraticForm:
 
     # -- form evaluation -------------------------------------------------
 
+    def _pairing(self, x, y) -> int:
+        """level * b(x, y), unreduced; for x = y it is level * q(x) mod 2 level."""
+        return sum(a * c * g
+                   for a, row in zip(x, self.gram) if a
+                   for c, g in zip(y, row) if c)
+
     def q_of(self, x) -> Fraction:
         """q(sum x_i g_i) mod 2."""
-        total = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                total += a * a * self.q[i]
-        for i, j in itertools.combinations(range(len(x)), 2):
-            if x[i] and x[j]:
-                total += 2 * x[i] * x[j] * self.b[i][j]
-        return _mod2(total)
+        return Fraction(self._pairing(x, x) % (2 * self.level), self.level)
 
     def b_of(self, x, y) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                for j, c in enumerate(y):
-                    if c:
-                        total += a * c * self.b[i][j]
-        return _mod1(total)
+        return Fraction(self._pairing(x, y) % self.level, self.level)
+
+    def _generator_q(self) -> list:
+        return [Fraction(row[i], self.level) for i, row in enumerate(self.gram)]
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteQuadraticForm)
             and self.orders == other.orders
-            and self.q == other.q
-            and self.b == other.b
+            and self.gram == other.gram
         )
 
     def __repr__(self):
-        qs = ",".join(str(x) for x in self.q)
+        qs = ",".join(str(x) for x in self._generator_q())
         return f"FiniteQuadraticForm(orders={self.orders}, q=({qs}))"
 
     def to_json_dict(self):
         return {
             "factors": list(self.orders),
-            "q": [f"{x.numerator}/{x.denominator}" for x in self.q],
+            "q": [f"{x.numerator}/{x.denominator}" for x in self._generator_q()],
         }
 
 
-TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
+TRIVIAL_FORM = FiniteQuadraticForm((), ())
 
 
 def disc_form(l) -> FiniteQuadraticForm:
@@ -192,38 +187,29 @@ def disc_form(l) -> FiniteQuadraticForm:
             raise InconsistentDataError(
                 f"discriminant generator {j} is not in the dual lattice"
             )
-    b = [[Fraction(sum(a * c for a, c in zip(col, gcol)), di * dj)
-          for gcol, dj in zip(gcols, orders)] for col, di in zip(cols, orders)]
-    return FiniteQuadraticForm(orders, [b[i][i] for i in range(len(keep))], b)
+    return FiniteQuadraticForm(orders, [
+        [Fraction(sum(a * c for a, c in zip(col, gcol)), di * dj)
+         for gcol, dj in zip(gcols, orders)] for col, di in zip(cols, orders)])
 
 
 def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """Same group with all form values negated."""
     return FiniteQuadraticForm(
-        q.orders,
-        [-x for x in q.q],
-        [[-x for x in row] for row in q.b],
-    )
+        q.orders, [[Fraction(-x, q.level) for x in row] for row in q.gram])
 
 
 def orthogonal_sum(forms) -> FiniteQuadraticForm:
     """Block sum of finitely many forms; the empty sum is trivial."""
     forms = list(forms)
-    orders = []
-    qvals = []
-    for f in forms:
-        orders.extend(f.orders)
-        qvals.extend(f.q)
-    k = len(orders)
-    b = [[Fraction(0)] * k for _ in range(k)]
+    orders = [d for f in forms for d in f.orders]
+    gram = [[0] * len(orders) for _ in orders]
     off = 0
     for f in forms:
-        m = len(f.orders)
-        for i in range(m):
-            for j in range(m):
-                b[off + i][off + j] = f.b[i][j]
-        off += m
-    return FiniteQuadraticForm(orders, qvals, b)
+        for i, row in enumerate(f.gram):
+            for j, x in enumerate(row):
+                gram[off + i][off + j] = Fraction(x, f.level)
+        off += len(f.orders)
+    return FiniteQuadraticForm(orders, gram)
 
 
 def _primary_embeddings(q: FiniteQuadraticForm):
@@ -234,20 +220,14 @@ def _primary_embeddings(q: FiniteQuadraticForm):
         # (ambient index, multiplier, p-power order)
         gens = [(i, d // p**f[p], p**f[p])
                 for i, (d, f) in enumerate(zip(q.orders, factored)) if p in f]
-        orders = [pe for (_, _, pe) in gens]
-        qv = []
-        b = [[Fraction(0)] * len(gens) for _ in range(len(gens))]
         vectors = []
-        for a, (i, c, _pe) in enumerate(gens):
+        for i, c, _ in gens:
             vec = [0] * len(q.orders)
             vec[i] = c
             vectors.append(tuple(vec))
-            qv.append(q.q_of(vec))
-            for t, (j, c2, _pe2) in enumerate(gens):
-                vec2 = [0] * len(q.orders)
-                vec2[j] = c2
-                b[a][t] = q.b_of(vec, vec2)
-        out[p] = (FiniteQuadraticForm(orders, qv, b), vectors)
+        gram = [[q.q_of(x) if a == t else q.b_of(x, y)
+                 for t, y in enumerate(vectors)] for a, x in enumerate(vectors)]
+        out[p] = (FiniteQuadraticForm([pe for (_, _, pe) in gens], gram), vectors)
     return out
 
 
@@ -275,7 +255,7 @@ def _generated_subgroup_size(part: FiniteQuadraticForm, images) -> int:
     return len(seen)
 
 
-def _parts_isomorphic(p1, p2, budget) -> bool:
+def _parts_isomorphic(p1, p2) -> bool:
     if sorted(p1.orders) != sorted(p2.orders):
         return False
     if element_fingerprint(p1) != element_fingerprint(p2):
@@ -293,12 +273,13 @@ def _parts_isomorphic(p1, p2, budget) -> bool:
         if idx == len(gens):
             return _generated_subgroup_size(p2, images) == p2.group_order
         i = gens[idx]
-        profile = (p1.orders[i], p1.q[i])
+        profile = (p1.orders[i], p1.q_of(unit[i]))
         for y in by_profile.get(profile, ()):
             nodes += 1
-            if nodes > budget:
+            if nodes > SEARCH_NODE_BUDGET:
                 raise ResourceLimitError(
-                    f"isomorphism search exceeded {budget} nodes"
+                    f"isomorphism search exceeded SEARCH_NODE_BUDGET = "
+                    f"{SEARCH_NODE_BUDGET} nodes"
                 )
             ok = all(
                 p2.b_of(y, images[t]) == p1.b_of(unit[i], unit[gens[t]])
@@ -311,8 +292,7 @@ def _parts_isomorphic(p1, p2, budget) -> bool:
     return place(0, [])
 
 
-def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm,
-                   node_budget: int = SEARCH_NODE_BUDGET) -> bool:
+def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
     """Decide whether a group isomorphism carrying q1 to q2 exists.
 
     Works one primary part at a time: a fingerprint filter first, then
@@ -322,10 +302,10 @@ def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm,
     parts2 = p_primary_parts(q2)
     if set(parts1) != set(parts2):
         return False
-    return all(_parts_isomorphic(parts1[p], parts2[p], node_budget) for p in parts1)
+    return all(_parts_isomorphic(parts1[p], parts2[p]) for p in parts1)
 
 
-def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int, budget: int):
+def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
     """All subgroups of the given order with q identically 0 on them."""
     zero = part.zero
     if order == 1:
@@ -346,9 +326,10 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int, budget: 
             if any(part.b_of(x, h) != 0 for h in sub):
                 continue
             nodes += 1
-            if nodes > budget:
+            if nodes > SEARCH_NODE_BUDGET:
                 raise ResourceLimitError(
-                    f"subgroup search exceeded {budget} nodes"
+                    f"subgroup search exceeded SEARCH_NODE_BUDGET = "
+                    f"{SEARCH_NODE_BUDGET} nodes"
                 )
             new = set(sub)
             cur = x
@@ -369,8 +350,7 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int, budget: 
     return sorted(results, key=lambda s: sorted(s))
 
 
-def isotropic_subgroups(q: FiniteQuadraticForm, order: int,
-                        node_budget: int = SEARCH_NODE_BUDGET) -> list:
+def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list:
     """All subgroups of the given order on which q vanishes identically.
 
     On such a subgroup b vanishes as well (polarization), which the
@@ -388,7 +368,7 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int,
     per_prime = []
     for p, e in factorize(order).items():
         part, vectors = embeddings[p]
-        subs = _isotropic_subgroups_of_part(part, p**e, node_budget)
+        subs = _isotropic_subgroups_of_part(part, p**e)
         if not subs:
             return []
         ambient_subs = []
@@ -413,19 +393,25 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int,
 
 def _subgroup_lifts(q: FiniteQuadraticForm, h) -> list:
     """Validate h as an isotropic subgroup; return its elements reduced."""
-    elems = {q.reduce(x) for x in h}
+    k = len(q.orders)
+    elems = set()
+    for x in h:
+        if not isinstance(x, tuple) or len(x) != k:
+            raise DomainError(f"subgroup element {x!r} must be a tuple of {k} integers")
+        for i, a in enumerate(x):
+            strict_int(a, f"coordinate {i} of subgroup element {x!r}")
+        elems.add(q.reduce(x))
     if q.zero not in elems:
         raise DomainError("subgroup must contain 0")
     for x in elems:
         for y in elems:
             if q.add(x, y) not in elems:
                 raise DomainError("given element set is not closed under addition")
+    # b vanishes on a closed set on which q does, since
+    # 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
     for x in elems:
         if q.q_of(x) != 0:
             raise DomainError(f"subgroup is not isotropic: q{x} = {q.q_of(x)}")
-        for y in elems:
-            if q.b_of(x, y) != 0:
-                raise DomainError("subgroup is not isotropic for b")
     return sorted(elems)
 
 
@@ -438,17 +424,15 @@ def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
     helems = _subgroup_lifts(q, h)
     k = len(q.orders)
     if len(helems) == 1:
-        return FiniteQuadraticForm(q.orders, q.q, q.b)
+        return q
     nontrivial = [x for x in helems if x != q.zero]
     s = len(nontrivial)
-    # Pairing conditions: x in h_perp  iff  sum_i x_i * b(e_i, h_t) in Z.
-    beta = [[q.b_of(tuple(int(i == t) for t in range(k)), hv) for hv in nontrivial]
-            for i in range(k)]
-    denom = lcm(1, *(x.denominator for row in beta for x in row))
+    # Pairing conditions: x in h_perp  iff  sum_i x_i * level * b(e_i, h_t)
+    # is divisible by level; row t is (h_t gram mod level | level e_t).
     rows = []
-    for t in range(s):
-        row = [int(beta[i][t] * denom) for i in range(k)]
-        row += [denom if t2 == t else 0 for t2 in range(s)]
+    for t, hv in enumerate(nontrivial):
+        row = [sum(a * g for a, g in zip(hv, grow)) % q.level for grow in q.gram]
+        row += [q.level if t2 == t else 0 for t2 in range(s)]
         rows.append(row)
     kern = kernel_basis(IntMatrix(rows))
     perp_gens = [[vec[i] for vec in kern] for i in range(k)]
@@ -473,6 +457,6 @@ def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
                 f"overlattice generator {j} is not integral over its Smith entry {d}"
             )
         gens.append(tuple(c // d for c in col))
-    qv = [q.q_of(g) for g in gens]
-    b = [[q.b_of(g1, g2) for g2 in gens] for g1 in gens]
-    return FiniteQuadraticForm(orders, qv, b)
+    return FiniteQuadraticForm(orders, [
+        [q.q_of(x) if a == t else q.b_of(x, y) for t, y in enumerate(gens)]
+        for a, x in enumerate(gens)])

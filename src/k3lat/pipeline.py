@@ -239,6 +239,21 @@ def derive_fixed_point_profile(records) -> dict:
     return profile
 
 
+def rank_cross_check(rec: ActionRecord, profile: dict | None = None):
+    """(ok, error): does the census rank match the configuration rank?
+
+    ``ok`` is None without a census.  A census the profile cannot average
+    gives (False, the reason).
+    """
+    if rec.census is None:
+        return None, None
+    try:
+        rank = rank_from_group(rec.census, rec.group_order, profile)
+    except InconsistentDataError as exc:
+        return False, str(exc)
+    return rank == rank_from_config(rec.config), None
+
+
 def _sign(x: int) -> int:
     return 1 if x > 0 else -1
 
@@ -284,14 +299,9 @@ def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> Invari
     sign_ok = _sign(d_j) == expected_sign and _sign(d_h2g) == expected_sign
     xiao_ok = xiao_consistency(rec.config, rec.group_order)
     notes = []
-    if rec.census is None:
-        rank_cross_ok = None
-    else:
-        try:
-            rank_cross_ok = rank_from_group(rec.census, rec.group_order, profile) == r
-        except InconsistentDataError as exc:
-            rank_cross_ok = False
-            notes.append(f"rank cross-check failed: {exc}")
+    rank_cross_ok, cross_error = rank_cross_check(rec, profile)
+    if cross_error is not None:
+        notes.append(f"rank cross-check failed: {cross_error}")
     if rec.group_order == 168 and abs(d_j) == 784:
         notes.append(
             "d(J) = 784 = 2^4*7^2; an often-quoted 2^4*7 drops the square and "

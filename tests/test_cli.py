@@ -3,7 +3,7 @@ import json
 import pytest
 
 from k3lat.cli import main
-from k3lat.pipeline import record_to_dict, shipped_records
+from k3lat.pipeline import discriminant_chain, record_to_dict, shipped_records
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,24 @@ def test_verify_shipped_all_pass(capsys):
     assert data["profile"] == {"2": 8, "3": 6, "4": 4, "5": 4, "6": 2, "7": 3, "8": 2}
     assert data["tables_disjoint"] is True
     assert data["selfcheck_snf"] is True
+
+
+def test_rank_cross_check_failure_in_chain_and_verify(tmp_path, capsys):
+    # 24 + 5 * 8 = 64 fixed points do not average over a group of order 6
+    def mutate(objs):
+        for o in objs:
+            if o["name"] == "C6":
+                o["census"] = {"2": 5}
+
+    path = write_records(tmp_path, shipped_records(), mutate)
+    code, out, _ = run_cli(capsys, "--json", "verify", path)
+    assert code == 0
+    rows = {r["name"]: r["rank_cross_ok"] for r in json.loads(out)["records"]}
+    assert rows["C6"] is False and rows["C5"] is True
+    rec = next(r for r in shipped_records() if r.name == "C6").with_values(census={2: 5})
+    report = discriminant_chain(rec)
+    assert report.rank_cross_ok is False
+    assert report.notes[0].startswith("rank cross-check failed: fixed-point total 64")
 
 
 def test_verify_tampered_c3(tmp_path, capsys):

@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat import discforms
+from k3lat.cli import main
 from k3lat.discforms import (
     FiniteQuadraticForm,
     are_isomorphic,
@@ -40,9 +41,9 @@ Q_A2 = disc_form(A2)
 
 def test_disc_form_examples():
     assert Q_A1.orders == (2,)
-    assert Q_A1.q == (Fraction(3, 2),)
+    assert Q_A1.q_of((1,)) == Fraction(3, 2)
     assert Q_A2.orders == (3,)
-    assert Q_A2.q == (Fraction(4, 3),)
+    assert Q_A2.q_of((1,)) == Fraction(4, 3)
     assert disc_form(E8).orders == ()
 
 
@@ -55,7 +56,7 @@ def test_disc_form_rejects_odd_and_singular():
 
 def test_negate():
     assert negate(disc_form(E8)).orders == ()
-    assert negate(Q_A1).q == (Fraction(1, 2),)
+    assert negate(Q_A1).q_of((1,)) == Fraction(1, 2)
     assert negate(negate(Q_A2)) == Q_A2
 
 
@@ -71,7 +72,7 @@ def test_p_primary_parts():
     assert p_primary_parts(Q_A1) == {2: Q_A1}
     assert p_primary_parts(disc_form(E8)) == {}
     # a Z/6 form splits over {2, 3}
-    q6 = FiniteQuadraticForm((6,), (Fraction(1, 6),), ((Fraction(1, 6),),))
+    q6 = FiniteQuadraticForm((6,), ((Fraction(1, 6),),))
     parts = p_primary_parts(q6)
     assert sorted(parts) == [2, 3]
     assert parts[2].orders == (2,)
@@ -157,22 +158,24 @@ def test_materialization_bound():
 
 def test_form_validation():
     with pytest.raises(DomainError):
-        FiniteQuadraticForm((1,), (Fraction(0),), ((Fraction(0),),))
+        FiniteQuadraticForm((1,), ((Fraction(0),),))
     with pytest.raises(DomainError):
         # q = 1/4 is too fine for Z/2
-        FiniteQuadraticForm((2,), (Fraction(1, 4),), ((Fraction(1, 4),),))
-    with pytest.raises(DomainError):
-        # diagonal of b must match q mod 1
-        FiniteQuadraticForm((2,), (Fraction(1, 2),), ((Fraction(0),),))
+        FiniteQuadraticForm((2,), ((Fraction(1, 4),),))
 
 
 def test_bilinear_polarization_small():
     # 2 b(x, y) = q(x+y) - q(x) - q(y) mod 2 on a whole small group
-    q = orthogonal_sum([Q_A2, Q_A1])
-    for x in q.elements():
-        for y in q.elements():
-            lhs = (q.q_of(q.add(x, y)) - q.q_of(x) - q.q_of(y)) % 2
-            assert lhs == (2 * q.b_of(x, y)) % 2
+    forms = [
+        orthogonal_sum([Q_A2, Q_A1]),
+        disc_form(_seeded_basis(config_lattice(ADEConfig.parse("4*A1")), 0)),
+        disc_form(_seeded_basis(config_lattice(ADEConfig.parse("A5,A2")), 4)),
+    ]
+    for q in forms:
+        for x in q.elements():
+            for y in q.elements():
+                lhs = (q.q_of(q.add(x, y)) - q.q_of(x) - q.q_of(y)) % 2
+                assert lhs == (2 * q.b_of(x, y)) % 2
 
 
 @pytest.mark.parametrize("kind,n", [
@@ -221,9 +224,86 @@ def test_disc_form_of_sum_matches_sum_of_forms():
 
 def test_form_orders_are_strict_integers():
     with pytest.raises(DomainError, match="order 0"):
-        FiniteQuadraticForm((2.5,), (Fraction(1, 2),), ((Fraction(1, 2),),))
+        FiniteQuadraticForm((2.5,), ((Fraction(1, 2),),))
     with pytest.raises(DomainError, match="order 1"):
-        FiniteQuadraticForm((2, True), (0, 0), ((0, 0), (0, 0)))
+        FiniteQuadraticForm((2, True), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("orders,gram,fragment", [
+    # 3 * 1/3 is an integer, but 3^2 * 1/3 is odd, so q(3 g) would not vanish
+    ((3,), ((Fraction(1, 3),),), "not well defined"),
+    ((2, 2), ((0, Fraction(1, 2)), (0, 0)), "differ mod 1"),
+])
+def test_form_values_well_defined_and_symmetric(orders, gram, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        FiniteQuadraticForm(orders, gram)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", True])
+def test_form_entries_are_ints_or_fractions(entry):
+    with pytest.raises(DomainError, match=r"entry \[0\]\[1\]"):
+        FiniteQuadraticForm((2, 2), ((0, entry), (entry, 0)))
+
+
+@pytest.mark.parametrize("element,fragment", [
+    ((1.9, 1.2, 1.0, True), "coordinate 0"),
+    ((1, 1, 1, True), "coordinate 3"),
+    ((1, 1, 1, 1, 0), "tuple of 4"),
+    ([1, 1, 1, 1], "tuple of 4"),
+])
+def test_overlattice_elements_are_strict(element, fragment):
+    q = orthogonal_sum([Q_A1] * 4)
+    with pytest.raises(DomainError, match=fragment):
+        overlattice_disc(q, [q.zero, element])
+
+
+def test_search_node_budget_is_enforced(monkeypatch, capsys):
+    monkeypatch.setattr(discforms, "SEARCH_NODE_BUDGET", 2)
+    q = orthogonal_sum([Q_A1] * 8)
+    with pytest.raises(ResourceLimitError, match="SEARCH_NODE_BUDGET = 2"):
+        isotropic_subgroups(q, 2)
+    with pytest.raises(ResourceLimitError, match="SEARCH_NODE_BUDGET = 2"):
+        are_isomorphic(q, q)
+    code = main(["genus", "--rank", "3", "--det", "6048",
+                 "--disc-from-config", "A6,2*A3,3*A2,A1"])
+    assert code == 3
+    assert "SEARCH_NODE_BUDGET" in capsys.readouterr().err
+
+
+@st.composite
+def small_forms(draw, max_order=48):
+    """A form on one to three cyclic factors of mixed orders, |A| <= max_order."""
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), min_size=1, max_size=3))
+    assume(prod(orders) <= max_order)
+    gram = [[0] * len(orders) for _ in orders]
+    for i, d in enumerate(orders):
+        # q_i = m / d is well defined on Z/d when d * m is even
+        m = draw(st.integers(0, 2 * d - 1))
+        gram[i][i] = Fraction(m - m % 2 if d % 2 else m, d)
+        for j in range(i):
+            g = gcd(d, orders[j])
+            gram[i][j] = gram[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
+    return FiniteQuadraticForm(orders, gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), small_forms())
+def test_integer_gram_bookkeeping(f1, f2):
+    total = orthogonal_sum([f1, f2])
+    for x in f1.elements():
+        for y in f2.elements():
+            assert total.q_of(x + y) == (f1.q_of(x) + f2.q_of(y)) % 2
+    assert are_isomorphic(orthogonal_sum(p_primary_parts(total).values()), total)
+    k = len(total.orders)
+    units = [tuple(int(i == t) for t in range(k)) for i in range(k)]
+    rebuilt = FiniteQuadraticForm(total.orders, [
+        [total.q_of(x) if i == j else total.b_of(x, y) for j, y in enumerate(units)]
+        for i, x in enumerate(units)])
+    # entries are read mod 2 on the diagonal and mod 1 off it
+    shifted = FiniteQuadraticForm(total.orders, [
+        [total.q_of(x) - 2 if i == j else total.b_of(x, y) + i - j
+         for j, y in enumerate(units)] for i, x in enumerate(units)])
+    assert rebuilt == shifted == total
 
 
 # -- independent references for the Smith-transform constructions ------------
