@@ -101,16 +101,33 @@ class FiniteQuadraticForm:
     def zero(self) -> tuple:
         return (0,) * len(self.orders)
 
+    def _check(self, x):
+        """Refuse x unless it is a tuple or list of ints, one per generator."""
+        if (type(x) is not tuple and type(x) is not list
+                or len(x) != len(self.orders) or not all(type(a) is int for a in x)):
+            raise DomainError(
+                f"{x!r} is not an element of the group with orders {self.orders}"
+            )
+
     def reduce(self, x) -> tuple:
+        self._check(x)
         return tuple(a % d for a, d in zip(x, self.orders))
 
     def add(self, x, y) -> tuple:
+        self._check(x)
+        self._check(y)
+        return self._add(x, y)
+
+    def _add(self, x, y) -> tuple:
+        """``add`` without the element check, for loops over known elements."""
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
     def neg(self, x) -> tuple:
+        self._check(x)
         return tuple((-a) % d for a, d in zip(x, self.orders))
 
     def order_of(self, x) -> int:
+        self._check(x)
         return lcm(1, *(d // gcd(d, a) for a, d in zip(x, self.orders)))
 
     def elements(self):
@@ -131,9 +148,12 @@ class FiniteQuadraticForm:
 
     def q_of(self, x) -> Fraction:
         """q(sum x_i g_i) mod 2."""
+        self._check(x)
         return Fraction(self._pairing(x, x) % (2 * self.level), self.level)
 
     def b_of(self, x, y) -> Fraction:
+        self._check(x)
+        self._check(y)
         return Fraction(self._pairing(x, y) % self.level, self.level)
 
     def _generator_q(self) -> list:
@@ -225,8 +245,8 @@ def _primary_embeddings(q: FiniteQuadraticForm):
             vec = [0] * len(q.orders)
             vec[i] = c
             vectors.append(tuple(vec))
-        gram = [[q.q_of(x) if a == t else q.b_of(x, y)
-                 for t, y in enumerate(vectors)] for a, x in enumerate(vectors)]
+        # the constructor reduces the diagonal (q) mod 2 and the rest (b) mod 1
+        gram = [[Fraction(q._pairing(x, y), q.level) for y in vectors] for x in vectors]
         out[p] = (FiniteQuadraticForm([pe for (_, _, pe) in gens], gram), vectors)
     return out
 
@@ -249,8 +269,8 @@ def _generated_subgroup_size(part: FiniteQuadraticForm, images) -> int:
         step = part.reduce(g)
         cur = step
         while cur != part.zero:
-            new |= {part.add(x, cur) for x in seen}
-            cur = part.add(cur, step)
+            new |= {part._add(x, cur) for x in seen}
+            cur = part._add(cur, step)
         seen = new
     return len(seen)
 
@@ -311,7 +331,8 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
     if order == 1:
         return [frozenset({zero})]
     elems = part.elements()
-    iso = [x for x in elems if x != zero and part.q_of(x) == 0]
+    two_level = 2 * part.level
+    iso = [x for x in elems if x != zero and part._pairing(x, x) % two_level == 0]
     results = set()
     seen = set()
     start = frozenset({zero})
@@ -323,7 +344,7 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
         for x in iso:
             if x in sub:
                 continue
-            if any(part.b_of(x, h) != 0 for h in sub):
+            if any(part._pairing(x, h) % part.level for h in sub):
                 continue
             nodes += 1
             if nodes > SEARCH_NODE_BUDGET:
@@ -334,8 +355,8 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
             new = set(sub)
             cur = x
             while cur != zero:
-                new |= {part.add(h, cur) for h in sub}
-                cur = part.add(cur, x)
+                new |= {part._add(h, cur) for h in sub}
+                cur = part._add(cur, x)
             size = len(new)
             if size > order or order % size:
                 continue
@@ -386,7 +407,7 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list:
     for combo in itertools.product(*per_prime):
         group = {q.zero}
         for sub in combo:
-            group = {q.add(a, b) for a in group for b in sub}
+            group = {q._add(a, b) for a in group for b in sub}
         combined.append(frozenset(group))
     return sorted(combined, key=lambda s: sorted(s))
 
@@ -405,7 +426,7 @@ def _subgroup_lifts(q: FiniteQuadraticForm, h) -> list:
         raise DomainError("subgroup must contain 0")
     for x in elems:
         for y in elems:
-            if q.add(x, y) not in elems:
+            if q._add(x, y) not in elems:
                 raise DomainError("given element set is not closed under addition")
     # b vanishes on a closed set on which q does, since
     # 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
@@ -457,6 +478,5 @@ def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
                 f"overlattice generator {j} is not integral over its Smith entry {d}"
             )
         gens.append(tuple(c // d for c in col))
-    return FiniteQuadraticForm(orders, [
-        [q.q_of(x) if a == t else q.b_of(x, y) for t, y in enumerate(gens)]
-        for a, x in enumerate(gens)])
+    return FiniteQuadraticForm(
+        orders, [[Fraction(q._pairing(x, y), q.level) for y in gens] for x in gens])

@@ -1,12 +1,12 @@
 """Enumeration and isometry classification of even positive-definite
 lattices of rank at most 3.
 
-Candidates are produced in reduced shape (ascending diagonal, off-diagonal
-entries at most half the diagonal) with the classical product bound
-g11*g22*g33 <= 2*det as pruning; every isometry class of the right
-determinant contains a genuinely Minkowski-reduced Gram satisfying all of
-these, so the scan is complete.  Residual duplicates on the boundary of
-the reduction domain are removed by explicit isometry testing.
+Each isometry class is enumerated once, by its canonical Gram: at rank 2
+the reduced form 0 <= 2*g12 <= g11 <= g22 (one per GL2(Z) class), at
+rank 3 the Eisenstein-reduced form (Brandt-Intrau 1958; Schiemann, Math.
+Ann. 308, 1997).  Reduced forms obey the product bound g11*g22*g33 <=
+2*det, which prunes the scan.  Class counts therefore need no isometry
+tests; ``is_isometric`` and ``short_vectors`` are separate tools.
 """
 
 from __future__ import annotations
@@ -109,9 +109,11 @@ def _int_interval(c: Fraction, lim: Fraction):
     outer = Fraction(s + 1, lim.denominator)  # > sqrt(lim)
     hi = (outer - c).__floor__()
     while (hi + c) ** 2 > lim:
+        if hi + c < 0:
+            return 1, 0  # hi has passed -c: no integer fits
         hi -= 1
     lo = (-outer - c).__floor__()
-    while (lo + c) ** 2 > lim:
+    while (lo + c) ** 2 > lim:  # stops at hi at the latest
         lo += 1
     return lo, hi
 
@@ -159,10 +161,6 @@ def vector_counts(gram: tuple, bound: int) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-# Fixed small bound for the cheap fingerprint used to bucket candidates.
-_PROFILE_BOUND = 32
-
-
 def is_isometric(l1: ReducedForm, l2: ReducedForm) -> bool:
     """Does an integral isometry exist between the two forms?
 
@@ -179,8 +177,6 @@ def is_isometric(l1: ReducedForm, l2: ReducedForm) -> bool:
     if g1 == g2:
         return True
     n = l1.rank
-    if vector_counts(g1, _PROFILE_BOUND) != vector_counts(g2, _PROFILE_BOUND):
-        return False
     # Search for x with x^T g1 x = g2, mapping the basis of the form with
     # the smaller diagonal; that caps the vector enumeration bound.
     md1 = max(g1[i][i] for i in range(n))
@@ -212,11 +208,7 @@ def is_isometric(l1: ReducedForm, l2: ReducedForm) -> bool:
     return place(0)
 
 
-# -- reduced-shape enumeration ---------------------------------------------
-
-
-def _rank1_forms(det):
-    return [((det,),)] if det % 2 == 0 else []
+# -- canonical enumeration -------------------------------------------------
 
 
 def _rank2_forms(det):
@@ -234,32 +226,58 @@ def _rank2_forms(det):
     return out
 
 
-def _rank3_partition(det, g11):
-    """All reduced-shape rank-3 candidates with the given leading entry."""
+def _signed(bound, positive):
+    """Off-diagonal range of one sign class: 1..bound, or -bound..0."""
+    return range(1, bound + 1) if positive else range(-bound, 1)
+
+
+def _eisenstein_ties(a, b, c, r, s, t):
+    """The reduction conditions the scan in ``_rank3_partition`` leaves
+    open: the sum condition and the tie-breaks on the boundary."""
+    edge = a + b + 2 * (r + s + t)
+    return (
+        edge >= 0
+        and (a != b or abs(r) <= abs(s))
+        and (b != c or abs(s) <= abs(t))
+        and (edge != 0 or a + 2 * s + t <= 0)
+        and (a != 2 * t or s <= 2 * r)
+        and (a != 2 * s or t <= 2 * r)
+        and (b != 2 * r or t <= 2 * s)
+        and (a != -2 * t or s == 0)
+        and (a != -2 * s or t == 0)
+        and (b != -2 * r or t == 0)
+    )
+
+
+def _rank3_partition(det, a):
+    """The Eisenstein-reduced Grams with g11 = a, one per class.
+
+    With b = g22, c = g33, r = g23, s = g13, t = g12 the scan keeps
+    a <= b <= c, 2|t| <= a, 2|s| <= a, 2|r| <= b with r, s, t all
+    positive or all non-positive; c is solved from the determinant.
+    """
     out = []
-    half11 = g11 // 2
     two_det = 2 * det
-    for g12 in range(0, half11 + 1):
-        for g13 in range(-half11, half11 + 1):
-            g22 = g11
-            while g11 * g22 * g22 <= two_det:
-                m2 = g11 * g22 - g12 * g12
-                half22 = g22 // 2
-                for g23 in range(-half22, half22 + 1):
-                    num = det - 2 * g12 * g13 * g23 + g11 * g23 * g23 + g22 * g13 * g13
+    for t in range(-(a // 2), a // 2 + 1):
+        for s in _signed(a // 2, t > 0):
+            b = a
+            while a * b * b <= two_det:
+                m2 = a * b - t * t
+                for r in _signed(b // 2, t > 0):
+                    num = det - 2 * t * s * r + a * r * r + b * s * s
                     if num % m2:
                         continue
-                    g33 = num // m2
-                    if g33 < g22 or g33 % 2 or g11 * g22 * g33 > two_det:
+                    c = num // m2
+                    if c < b or c % 2 or not _eisenstein_ties(a, b, c, r, s, t):
                         continue
-                    out.append(((g11, g12, g13), (g12, g22, g23), (g13, g23, g33)))
-                g22 += 2
+                    out.append(((a, t, s), (t, b, r), (s, r, c)))
+                b += 2
     return out
 
 
-def _raw_reduced(rank: int, det: int) -> list:
-    """Structurally distinct reduced-shape candidates, duplicates by
-    isometry still possible."""
+def enumerate_reduced(rank: int, det: int) -> list:
+    """All even positive-definite forms of the rank and determinant,
+    one canonical representative per isometry class."""
     if rank not in (1, 2, 3):
         raise DomainError(f"rank must be 1..3, got {rank}")
     if det < 1:
@@ -269,35 +287,16 @@ def _raw_reduced(rank: int, det: int) -> list:
             f"determinant {det} exceeds the enumeration bound {DET_BOUND}"
         )
     if rank == 1:
-        raw = _rank1_forms(det)
+        grams = [((det,),)] if det % 2 == 0 else []
     elif rank == 2:
-        raw = _rank2_forms(det)
+        grams = _rank2_forms(det)
     else:
-        raw = []
-        g11 = 2
-        while g11 ** 3 <= 2 * det:
-            raw.extend(_rank3_partition(det, g11))
-            g11 += 2
-    return [ReducedForm(g) for g in dict.fromkeys(raw)]
-
-
-def _dedup_isometry(forms) -> list:
-    """One representative per isometry class, bucketed by cheap invariants."""
-    buckets = {}
-    reps = []
-    for f in forms:
-        key = vector_counts(f.gram, _PROFILE_BOUND)
-        bucket = buckets.setdefault(key, [])
-        if not any(is_isometric(f, r) for r in bucket):
-            bucket.append(f)
-            reps.append(f)
-    return reps
-
-
-def enumerate_reduced(rank: int, det: int) -> list:
-    """All even positive-definite forms of the rank and determinant,
-    one representative per isometry class."""
-    return _dedup_isometry(_raw_reduced(rank, det))
+        grams = []
+        a = 2
+        while a ** 3 <= 2 * det:
+            grams.extend(_rank3_partition(det, a))
+            a += 2
+    return [ReducedForm(g) for g in grams]
 
 
 @dataclass(frozen=True)
@@ -320,23 +319,22 @@ def genus_class_count(spec: GenusSpec):
     """(class count, representatives) for the genus the spec describes.
 
     Even lattices of equal signature lie in one genus exactly when their
-    discriminant forms are isomorphic.  The form-isomorphism filter runs
-    before isometry deduplication: it is the cheaper test and discards
-    most of the reduced-shape candidates.  Isomorphic forms live on
-    isomorphic groups, so candidates whose discriminant group has other
-    invariant factors are dropped first, before any form is built.
+    discriminant forms are isomorphic.  ``enumerate_reduced`` lists each
+    class once, so the count is the number of candidates that pass the
+    form-isomorphism test.  Isomorphic forms live on isomorphic groups,
+    so candidates whose discriminant group has other invariant factors
+    are dropped first, before any form is built.
     """
-    candidates = _raw_reduced(spec.rank, spec.det)
+    reps = enumerate_reduced(spec.rank, spec.det)
     if spec.disc is not None:
         # The target's orders need not form a divisor chain (an orthogonal
         # sum can give (3, 5) where the invariant factors are (15,)).
         target_group = tuple(
             d for d in invariant_factors(IntMatrix.diagonal(spec.disc.orders)) if d > 1
         )
-        candidates = [
-            r for r in candidates
+        reps = [
+            r for r in reps
             if disc_group(r.lattice()) == target_group
             and are_isomorphic(disc_form(r.lattice()), spec.disc)
         ]
-    reps = _dedup_isometry(candidates)
     return len(reps), reps

@@ -25,12 +25,11 @@ from k3lat.discforms import (
 from k3lat.genus import (
     GenusSpec,
     ReducedForm,
-    _dedup_isometry,
-    _raw_reduced,
     enumerate_reduced,
     genus_class_count,
     is_isometric,
 )
+from genus_reference import dedup_isometry, wide_scan
 from h3_reference import compose_is_zero
 from k3lat.groups import FiniteGroup, _boundary, h3_bar_resolution
 from k3lat.intmat import IntMatrix, det_exact, smith_normal_form
@@ -346,8 +345,9 @@ def test_criterion_10e_enumeration_closure():
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_criterion_10e_class_count_matches_brute_force(rank):
-    # The brute force runs the form-isomorphism test on every reduced
-    # candidate, with no screening by discriminant group.  Each target is
+    # The brute force runs the form-isomorphism test on every Gram of the
+    # wide reduced-shape scan, with no screening by discriminant group, and
+    # merges the survivors by isometry testing.  Each target is
     # also posed as the orthogonal sum of its primary parts, whose orders
     # need not form a divisor chain: (3, 5) at det 15, (8, 5) at det 40.
     checked = split_orders = 0
@@ -358,8 +358,8 @@ def test_criterion_10e_class_count_matches_brute_force(rank):
             if not any(are_isomorphic(q, t) for t in targets):
                 targets.append(q)
         for target in targets:
-            expected = len(_dedup_isometry(
-                r for r in _raw_reduced(rank, det)
+            expected = len(dedup_isometry(
+                r for r in wide_scan(rank, det)
                 if are_isomorphic(disc_form(r.lattice()), target)
             ))
             split = orthogonal_sum(p_primary_parts(target).values())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from genus_reference import reference_classes
 from k3lat.cli import main
 from k3lat.pipeline import discriminant_chain, record_to_dict, shipped_records
 
@@ -137,6 +138,15 @@ def test_genus_l27_disc_from_config(capsys):
     data = json.loads(out)
     assert data["count"] == 2
     assert len(data["representatives"]) == 2
+
+
+@pytest.mark.parametrize("rank,det", [(2, 256), (3, 84)])
+def test_genus_terminates_on_former_hangs(capsys, rank, det):
+    # both used to loop for ever in the short-vector scan of the old
+    # isometry dedup
+    code, out, _ = run_cli(capsys, "--json", "genus", "--rank", str(rank), "--det", str(det))
+    assert code == 0
+    assert json.loads(out)["count"] == len(reference_classes(rank, det)) == 7
 
 
 def test_genus_resource_bound(capsys):

@@ -257,6 +257,21 @@ def test_overlattice_elements_are_strict(element, fragment):
         overlattice_disc(q, [q.zero, element])
 
 
+@pytest.mark.parametrize("element", [
+    (1, 1, 1, 1, 1), (1, 1, 1), (0.5, 0, 0, 0), (True, 0, 0, 0), ("1", 0, 0, 0), 5,
+])
+def test_form_evaluation_refuses_non_elements(element):
+    # a fifth coordinate used to be dropped and a float to escape as TypeError
+    q = orthogonal_sum([Q_A1] * 4)
+    for call in (lambda: q.q_of(element), lambda: q.b_of(element, q.zero),
+                 lambda: q.b_of(q.zero, element), lambda: q.reduce(element),
+                 lambda: q.add(element, q.zero), lambda: q.add(q.zero, element),
+                 lambda: q.neg(element), lambda: q.order_of(element)):
+        with pytest.raises(DomainError, match="not an element"):
+            call()
+    assert q.q_of([1, 1, 1, 1]) == 0 and q.add((1, 0, 1, 0), (1, 1, 0, 0)) == (0, 1, 1, 0)
+
+
 def test_search_node_budget_is_enforced(monkeypatch, capsys):
     monkeypatch.setattr(discforms, "SEARCH_NODE_BUDGET", 2)
     q = orthogonal_sum([Q_A1] * 8)

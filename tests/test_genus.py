@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
+from genus_reference import reference_classes
+from k3lat import genus
 from k3lat.discforms import are_isomorphic, disc_form, negate
 from k3lat.errors import DomainError, ResourceLimitError
 from k3lat.genus import (
     GenusSpec,
     ReducedForm,
+    _int_interval,
     enumerate_reduced,
     genus_class_count,
     is_isometric,
@@ -131,10 +136,17 @@ def test_binary_class_counts(det, count):
     assert len(enumerate_reduced(2, det)) == count
 
 
-@pytest.mark.parametrize("cfg,det,expected", [
+SHIPPED_COMPLEMENTS = [
     ("A6,2*A3,3*A2,A1", 6048, 2),
     ("2*A4,2*A3,2*A2,A1", 7200, 2),
     ("D4,2*A4,3*A2,A1", 5400, 1),
+]
+
+
+@pytest.mark.parametrize("cfg,det,expected", SHIPPED_COMPLEMENTS + [
+    # both used to hang in the isometry dedup the enumeration now avoids
+    ("A5,A4,2*A3,2*A2", 4320, 2),
+    ("A5,2*A4,2*A3", 2400, 2),
 ])
 def test_rank19_complement_genus_counts(cfg, det, expected):
     lat = config_lattice(ADEConfig.parse(cfg))
@@ -148,3 +160,85 @@ def test_rank19_complement_genus_counts(cfg, det, expected):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not is_isometric(reps[i], reps[j])
+
+
+def test_int_interval_empty():
+    # (x + 1/2)^2 <= 1/12 has no integer solution; the scan used to step
+    # away from -c for ever
+    assert _int_interval(Fraction(1, 2), Fraction(1, 12)) == (1, 0)
+    assert _int_interval(Fraction(-1, 2), Fraction(1, 12)) == (1, 0)
+    assert _int_interval(Fraction(1, 2), Fraction(1, 4)) == (-1, 0)
+
+
+def _flip_first(gram):
+    """The Gram in the basis with e1 negated, isometric but not equal
+    unless e1 is orthogonal to the rest."""
+    n = len(gram)
+    sign = [-1] + [1] * (n - 1)
+    return tuple(tuple(sign[i] * sign[j] * gram[i][j] for j in range(n)) for i in range(n))
+
+
+def test_is_isometric_terminates_on_canonical_forms():
+    forms = [f for d in range(1, 301) for f in enumerate_reduced(2, d)]
+    forms += [f for d in (84, 216, 288) for f in enumerate_reduced(3, d)]
+    for f in forms:
+        assert is_isometric(f, f)
+        assert is_isometric(f, ReducedForm(_flip_first(f.gram)))
+
+
+def test_rank2_counts_match_reduced_triples():
+    # GL2(Z) classes of [[2a, b], [b, 2c]] with 4ac - b^2 = d are the
+    # triples 0 <= b <= a <= c
+    top = 3000
+    triples = [0] * (top + 1)
+    a = 1
+    while 3 * a * a <= top:
+        for b in range(a + 1):
+            c = a
+            while 4 * a * c - b * b <= top:
+                triples[4 * a * c - b * b] += 1
+                c += 1
+        a += 1
+    for d in range(1, top + 1):
+        assert len(enumerate_reduced(2, d)) == triples[d], d
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_enumeration_matches_isometry_dedup(rank):
+    # 102, 232, 328, 352, 438 and 494 are the least determinants at which
+    # the conditions b = -2r, b = 2r, a = 2t, a + b + 2(r+s+t) >= 0,
+    # a = 2s and a + b + 2(r+s+t) = 0 first decide between two Grams of
+    # one class; the other conditions do so below 61
+    dets = list(range(1, 61)) + [84, 102, 216, 232, 288, 328, 352, 438, 494]
+    for d in dets:
+        forms = enumerate_reduced(rank, d)
+        reference = reference_classes(rank, d)
+        assert len(forms) == len(reference), d
+        for r in reference:
+            assert sum(is_isometric(r, f) for f in forms) == 1, (d, r.gram)
+
+
+def test_rank3_forms_are_eisenstein_reduced():
+    for d in range(1, 301):
+        for f in enumerate_reduced(3, d):
+            (a, t, s), (_, b, r), (_, _, c) = f.gram
+            assert a <= b <= c
+            assert 2 * abs(t) <= a and 2 * abs(s) <= a and 2 * abs(r) <= b
+            assert min(r, s, t) > 0 or max(r, s, t) <= 0
+            assert a + b + 2 * (r + s + t) >= 0
+
+
+def test_genus_path_never_tests_isometry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("isometry test on the genus path")
+
+    for name in ("is_isometric", "short_vectors", "vector_counts"):
+        monkeypatch.setattr(genus, name, refuse)
+    for cfg, det, expected in SHIPPED_COMPLEMENTS:
+        lat = config_lattice(ADEConfig.parse(cfg))
+        count, _ = genus_class_count(GenusSpec(3, det, negate(disc_form(lat))))
+        assert count == expected
+    for rank in (1, 2, 3):
+        for d in range(1, 301):
+            enumerate_reduced(rank, d)
+            genus_class_count(GenusSpec(rank, d))
