@@ -24,9 +24,7 @@ from .intmat import (
     IntMatrix,
     column_space_basis,
     factorize,
-    kernel_basis,
     smith_normal_form,
-    solve_exact,
     strict_int,
 )
 
@@ -35,7 +33,8 @@ from .intmat import (
 MATERIALIZE_LIMIT = 10_000
 
 # Cap on backtracking nodes per primary part in isomorphism and subgroup
-# searches.
+# searches.  The isomorphism search counts each candidate image it tries
+# and each element it re-checks against that image.
 SEARCH_NODE_BUDGET = 10**6
 
 
@@ -262,54 +261,70 @@ def element_fingerprint(q: FiniteQuadraticForm):
     return tuple(items)
 
 
-def _generated_subgroup_size(part: FiniteQuadraticForm, images) -> int:
-    seen = {part.zero}
-    for g in images:
-        new = set(seen)
-        step = part.reduce(g)
-        cur = step
-        while cur != part.zero:
-            new |= {part._add(x, cur) for x in seen}
-            cur = part._add(cur, step)
-        seen = new
-    return len(seen)
-
-
 def _parts_isomorphic(p1, p2) -> bool:
+    """Backtracking over generator images, for two p-primary forms."""
     if sorted(p1.orders) != sorted(p2.orders):
         return False
     if element_fingerprint(p1) != element_fingerprint(p2):
         return False
-    elems = p2.elements()
+    level = p1.level  # equal orders, equal levels
+    (p,) = factorize(level)
     by_profile = {}
-    for y in elems:
-        by_profile.setdefault((p2.order_of(y), p2.q_of(y)), []).append(y)
-    gens = sorted(range(len(p1.orders)), key=lambda i: -p1.orders[i])
-    unit = [tuple(int(i == t) for t in range(len(p1.orders))) for i in range(len(p1.orders))]
+    socle_of = {}  # y -> its multiple of order p
+    for y in p2.elements():
+        d = p2.order_of(y)
+        by_profile.setdefault((d, p2._pairing(y, y) % (2 * level)), []).append(y)
+        socle_of[y] = tuple(d // p * a % o for a, o in zip(y, p2.orders))
     nodes = 0
 
-    def place(idx, images):
+    def place(domains, socle):
+        """Map one more generator of p1.
+
+        ``socle`` is the p-torsion of the subgroup the images so far
+        generate.  ``domains`` holds, per generator still unmapped, the
+        elements of p2 with its order and q value that pair with every
+        image as it pairs with that image's generator, and whose order-p
+        multiple is not in ``socle``: in a p-group that is the condition
+        for the sum of the images to stay direct, as it must.
+        """
         nonlocal nodes
-        if idx == len(gens):
-            return _generated_subgroup_size(p2, images) == p2.group_order
-        i = gens[idx]
-        profile = (p1.orders[i], p1.q_of(unit[i]))
-        for y in by_profile.get(profile, ()):
+        if not domains:
+            # the images have the generators' orders, q values and pairings,
+            # and span a direct sum of the same orders: all of p2
+            return True
+        i = min(domains, key=lambda t: len(domains[t]))
+        for y in domains[i]:
             nodes += 1
             if nodes > SEARCH_NODE_BUDGET:
                 raise ResourceLimitError(
                     f"isomorphism search exceeded SEARCH_NODE_BUDGET = "
                     f"{SEARCH_NODE_BUDGET} nodes"
                 )
-            ok = all(
-                p2.b_of(y, images[t]) == p1.b_of(unit[i], unit[gens[t]])
-                for t in range(idx)
-            )
-            if ok and place(idx + 1, images + [y]):
-                return True
+            w = socle_of[y]
+            step = [p2.zero]
+            while len(step) < p:
+                step.append(p2._add(step[-1], w))
+            grown = {p2._add(x, s) for x in socle for s in step}
+            # row[t] = level * b(y, e_t) in p2
+            row = [sum(a * g for a, g in zip(y, grow)) for grow in p2.gram]
+            rest = {}
+            for t, dom in domains.items():
+                if t == i:
+                    continue
+                want = p1.gram[i][t] % level
+                nodes += len(dom)
+                dom = [z for z in dom if socle_of[z] not in grown
+                       and sum(c * r for c, r in zip(z, row)) % level == want]
+                if not dom:
+                    break
+                rest[t] = dom
+            else:
+                if place(rest, grown):
+                    return True
         return False
 
-    return place(0, [])
+    return place({i: by_profile.get((d, p1.gram[i][i]), []) for i, d in enumerate(p1.orders)},
+                 {p2.zero})
 
 
 def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
@@ -439,44 +454,46 @@ def _subgroup_lifts(q: FiniteQuadraticForm, h) -> list:
 def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
     """Induced form on h_perp / h for an isotropic subgroup h.
 
-    The quotient is extracted with exact integer linear algebra on lifts,
-    so the ambient group is never materialized.
+    Work in the coefficient lattice Z^k, which maps onto the group.  An
+    x in Z^k lies over h_perp iff B x = 0 mod level, where row t of B is
+    level * b(e_i, h_t) mod level over the nontrivial h_t.  Let N be the
+    lattice spanned by the rows of B and by level * Z^k, with square
+    basis W; then the preimage of h_perp is L_perp = level * N^#, whose
+    basis level * W^-T gives z the coordinates W^T z / level.  The
+    preimage of h is spanned by the columns of H = [h | diag(orders)],
+    so Y = W^T H / level must be integral.  With u Y v = [D 0], the
+    columns of H v are [L_perp u^-1 D | 0]: the quotient generators are
+    the columns of H v over their Smith entries d_j > 1.  Two integer
+    Smith forms; the group is never materialized.
     """
     helems = _subgroup_lifts(q, h)
     k = len(q.orders)
     if len(helems) == 1:
         return q
     nontrivial = [x for x in helems if x != q.zero]
-    s = len(nontrivial)
-    # Pairing conditions: x in h_perp  iff  sum_i x_i * level * b(e_i, h_t)
-    # is divisible by level; row t is (h_t gram mod level | level e_t).
-    rows = []
-    for t, hv in enumerate(nontrivial):
-        row = [sum(a * g for a, g in zip(hv, grow)) % q.level for grow in q.gram]
-        row += [q.level if t2 == t else 0 for t2 in range(s)]
-        rows.append(row)
-    kern = kernel_basis(IntMatrix(rows))
-    perp_gens = [[vec[i] for vec in kern] for i in range(k)]
-    diag = [[q.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    lam = column_space_basis(IntMatrix([pg + dg for pg, dg in zip(perp_gens, diag)]))
-    h_cols = [[x[i] for x in nontrivial] for i in range(k)]
-    lam_h = column_space_basis(IntMatrix([hc + dg for hc, dg in zip(h_cols, diag)]))
-    x = solve_exact(lam, lam_h)
-    if any(val.denominator != 1 for row in x for val in row):
+    level = q.level
+    # k x (s + k) matrices [B^T | level I] and H, s = |h| - 1
+    n_span = [[sum(a * g for a, g in zip(hv, grow)) % level for hv in nontrivial]
+              + [level if j == i else 0 for j in range(k)]
+              for i, grow in enumerate(q.gram)]
+    h_span = [[x[i] for x in nontrivial] + [d if j == i else 0 for j in range(k)]
+              for i, d in enumerate(q.orders)]
+    wt_h = column_space_basis(IntMatrix(n_span)).transpose().mul(IntMatrix(h_span)).rows
+    if any(x % level for row in wt_h for x in row):
         raise DomainError("subgroup lattice does not sit inside its perp")
-    sf = smith_normal_form(IntMatrix([[int(val) for val in row] for row in x]))
-    # With u x v = D, lam u^-1 = lam_h v D^-1: the quotient generators are
-    # the columns of lam_h v over their Smith entries.
-    hv = lam_h.mul(sf.v)
-    keep = [j for j, d in enumerate(sf.d) if d > 1]
-    orders = [sf.d[j] for j in keep]
+    sf = smith_normal_form(IntMatrix([[x // level for x in row] for row in wt_h]))
+    v_cols = list(zip(*sf.v.rows))
     gens = []
-    for j, d in zip(keep, orders):
-        col = [hv.rows[i][j] for i in range(k)]
+    orders = []
+    for j, d in enumerate(sf.d):
+        if d < 2:
+            continue
+        col = [sum(a * b for a, b in zip(row, v_cols[j])) for row in h_span]
         if any(c % d for c in col):
             raise InconsistentDataError(
                 f"overlattice generator {j} is not integral over its Smith entry {d}"
             )
         gens.append(tuple(c // d for c in col))
+        orders.append(d)
     return FiniteQuadraticForm(
-        orders, [[Fraction(q._pairing(x, y), q.level) for y in gens] for x in gens])
+        orders, [[Fraction(q._pairing(x, y), level) for y in gens] for x in gens])

@@ -59,8 +59,15 @@ class IntMatrix:
         self.ncols = width
 
     @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def _unchecked(cls, rows):
+        """Wrap a tuple of equal-length int tuples that intmat computed
+        itself from validated ints; the public constructor's checks would
+        only repeat what the arithmetic already guarantees."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
 
     @classmethod
     def diagonal(cls, entries):
@@ -83,17 +90,14 @@ class IntMatrix:
         )
 
     def transpose(self):
-        return IntMatrix(list(zip(*self.rows))) if self.nrows else IntMatrix([])
+        return IntMatrix._unchecked(tuple(zip(*self.rows)))
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        bt = list(zip(*other.rows)) if other.nrows else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-        )
+        return _mul_columns(self.rows, list(zip(*other.rows)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -123,6 +127,16 @@ class SmithForm:
     d: tuple
     u: IntMatrix
     v: IntMatrix
+
+
+def _identity_lists(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _mul_columns(rows, cols) -> IntMatrix:
+    """The matrix with rows ``rows`` times the matrix with columns ``cols``."""
+    return IntMatrix._unchecked(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in rows))
 
 
 def det_exact(a: IntMatrix) -> int:
@@ -270,10 +284,11 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     """
     nrows, ncols = a.nrows, a.ncols
     m = a.to_lists()
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
+    u = _identity_lists(nrows)
+    v = _identity_lists(ncols)
     d = _snf_inplace(m, nrows, ncols, u, v)
-    return SmithForm(tuple(d), IntMatrix(u), IntMatrix(v))
+    return SmithForm(tuple(d), IntMatrix._unchecked(tuple(map(tuple, u))),
+                     IntMatrix._unchecked(tuple(map(tuple, v))))
 
 
 def invariant_factors(a: IntMatrix) -> tuple:
@@ -341,7 +356,7 @@ def column_space_basis(a: IntMatrix) -> IntMatrix:
     if r != a.nrows:
         raise DomainError("columns do not span a full-rank lattice")
     # u a v = [D 0], so the first r columns of a v are u^-1 D.
-    return IntMatrix([row[:r] for row in a.mul(sf.v).rows])
+    return _mul_columns(a.rows, list(zip(*sf.v.rows))[:r])
 
 
 def factorize(n: int) -> dict:

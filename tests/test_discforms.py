@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lat import discforms
+from k3lat import discforms, intmat
 from k3lat.cli import main
 from k3lat.discforms import (
     FiniteQuadraticForm,
@@ -85,6 +85,18 @@ def test_are_isomorphic_basics():
     d4_part = disc_form(ade_lattice(RootComponent("D", 4)))
     assert not are_isomorphic(Q_A1, d4_part)
     assert not are_isomorphic(Q_A2, negate(Q_A2))
+
+
+def test_isomorphism_search_stays_within_budget():
+    # A search that checks only at the leaves that the images generate the
+    # group spent SEARCH_NODE_BUDGET on this order-1024 form against itself.
+    f1 = FiniteQuadraticForm([4, 4, 2], [[Fraction(3, 2), 0, 0], [0, Fraction(3, 4), 0],
+                                         [0, 0, 1]])
+    f2 = FiniteQuadraticForm([4, 4, 2], [[Fraction(1, 2), 0, 0], [0, Fraction(3, 2), Fraction(1, 2)],
+                                         [0, Fraction(1, 2), 0]])
+    t = orthogonal_sum([f1, f2])
+    assert are_isomorphic(t, t)
+    assert are_isomorphic(orthogonal_sum([f2, f1]), t)
 
 
 def test_isomorphic_after_regluing_generators():
@@ -435,6 +447,56 @@ def test_overlattice_disc_matches_brute_force(config, seed):
             assert element_fingerprint(induced) == _brute_quotient_fingerprint(q, h)
             nontrivial += 1
     assert nontrivial
+
+
+# the shipped cyclic records C2..C8: configuration of K and the glue index [M : K]
+CYCLIC_GLUE = [("8*A1", 2), ("6*A2", 3), ("4*A3,2*A1", 4), ("4*A4", 5),
+               ("2*A5,2*A2,2*A1", 6), ("3*A6", 7), ("2*A7,A3,A1", 8)]
+
+
+@pytest.mark.parametrize("config,glue", CYCLIC_GLUE)
+def test_overlattice_induced_forms_are_basis_independent(config, glue):
+    lat = config_lattice(ADEConfig.parse(config))
+    multisets = []
+    for seed in (0, 1):
+        q = disc_form(_seeded_basis(lat, seed))
+        prints = []
+        for h in isotropic_subgroups(q, glue):
+            induced = overlattice_disc(q, h)
+            assert induced.group_order * len(h) ** 2 == q.group_order
+            prints.append(element_fingerprint(induced))
+        assert prints
+        multisets.append(sorted(prints))
+    assert multisets[0] == multisets[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["A1", "A2", "A3", "D4"]), min_size=1, max_size=3),
+       st.integers(0, 2**32))
+def test_overlattice_disc_matches_brute_force_in_random_bases(summands, seed):
+    lat = config_lattice(ADEConfig.parse(",".join(summands)))
+    q = disc_form(_seeded_basis(lat, seed) if lat.rank > 1 else lat)
+    for order in range(2, q.group_order + 1):
+        if q.group_order % (order * order):
+            continue
+        for h in isotropic_subgroups(q, order):
+            induced = overlattice_disc(q, h)
+            assert induced.group_order * order * order == q.group_order
+            assert element_fingerprint(induced) == _brute_quotient_fingerprint(q, h)
+
+
+def test_glue_path_never_solves_over_q(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the glue path left integer Smith forms")
+
+    for mod in (intmat, discforms):
+        for name in ("solve_exact", "kernel_basis"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    q = disc_form(_seeded_basis(config_lattice(ADEConfig.parse("4*A3,2*A1")), 3))
+    subs = isotropic_subgroups(q, 4)
+    assert len(subs) == 91
+    for h in subs:
+        assert overlattice_disc(q, h).group_order * 16 == q.group_order
 
 
 def _with_reversed_v(monkeypatch):

@@ -61,6 +61,34 @@ def test_snf_rectangular():
     assert sf.u.mul(m).mul(sf.v) == IntMatrix([[1, 0], [0, 6], [0, 0]])
 
 
+def _entries_are_ints(m):
+    return (len(m.rows) == m.nrows and all(len(row) == m.ncols for row in m.rows)
+            and all(type(x) is int for row in m.rows for x in row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_smith_normal_form_certificates(data):
+    # u, v and the products below come out of intmat unvalidated, so the
+    # arithmetic itself has to keep them exact ints of the stated shape
+    r = data.draw(st.integers(1, 4))
+    c = data.draw(st.integers(1, 6))
+    a = IntMatrix(data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+                                     min_size=r, max_size=r)))
+    sf = smith_normal_form(a)
+    uav = sf.u.mul(a).mul(sf.v)
+    assert uav == IntMatrix([[sf.d[i] if i == j else 0 for j in range(c)] for i in range(r)])
+    assert det_exact(sf.u) in (1, -1)
+    assert det_exact(sf.v) in (1, -1)
+    assert len(sf.d) == min(r, c) and all(x >= 0 for x in sf.d)
+    for x, y in zip(sf.d, sf.d[1:]):
+        assert y % x == 0 if x else y == 0
+    assert all(type(x) is int for x in sf.d)
+    assert sf.u.shape == (r, r) and sf.v.shape == (c, c)
+    for m in (sf.u, sf.v, uav, sf.u.mul(a), a.transpose(), a.mul(sf.v)):
+        assert _entries_are_ints(m)
+
+
 def test_solve_exact():
     a = IntMatrix([[2, 1], [1, 1]])
     b = IntMatrix([[3], [2]])
