@@ -72,12 +72,14 @@ class FiniteQuadraticForm:
                         f"form entry [{i}][{j}] must be an int or a Fraction, got {x!r}"
                     )
                 # b_ij is defined mod 1 on Z/d_i x Z/d_j; on the diagonal
-                # this gives d_i q_i in Z as well.
-                if (gcd(d, dj) * x) % 1:
+                # this gives d_i q_i in Z as well.  The denominator then
+                # divides the level.
+                num, den = x.numerator, x.denominator
+                if gcd(d, dj) * num % den:
                     raise DomainError(
                         f"form entry [{i}][{j}] = {x} too fine for orders {d}, {dj}"
                     )
-                nrow.append(int(x * level) % (2 * level if i == j else level))
+                nrow.append(num * (level // den) % (2 * level if i == j else level))
             nums.append(tuple(nrow))
             if nrow[i] * d * d % (2 * level):
                 raise DomainError(
@@ -191,9 +193,9 @@ def disc_form(l) -> FiniteQuadraticForm:
     n = l.rank
     if n == 0:
         return TRIVIAL_FORM
-    if l.det == 0:
-        raise DegenerateLatticeError("lattice is degenerate")
     sf = smith_normal_form(l.gram)
+    if 0 in sf.d:
+        raise DegenerateLatticeError("lattice is degenerate")
     keep = [j for j, d in enumerate(sf.d) if d > 1]
     orders = [sf.d[j] for j in keep]
     cols = [[row[j] for row in sf.v.rows] for j in keep]
@@ -292,7 +294,9 @@ def _parts_isomorphic(p1, p2) -> bool:
             # the images have the generators' orders, q values and pairings,
             # and span a direct sum of the same orders: all of p2
             return True
-        i = min(domains, key=lambda t: len(domains[t]))
+        # Largest order first: a small-order image placed early can leave
+        # the larger generators no direct room, a dead end found only late.
+        i = min(domains, key=lambda t: (-p1.orders[t], len(domains[t])))
         for y in domains[i]:
             nodes += 1
             if nodes > SEARCH_NODE_BUDGET:

@@ -12,13 +12,12 @@ tests; ``is_isometric`` and ``short_vectors`` are separate tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 from .discforms import FiniteQuadraticForm, are_isomorphic, disc_form
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
-from .intmat import IntMatrix, invariant_factors, strict_int_rows
+from .intmat import IntMatrix, fraction_free_rows, invariant_factors, strict_int_rows
 from .lattices import GramLattice, disc_group
 
 DET_BOUND = 100_000
@@ -80,44 +79,6 @@ def _det3(g):
 # -- exact short-vector enumeration ---------------------------------------
 
 
-def _cholesky(gram):
-    """Rational quadratic completion Q(x) = sum a_i (x_i + sum a_ij x_j)^2."""
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    a = []
-    alpha = []
-    for i in range(n):
-        a.append(m[i][i])
-        row = [m[i][j] / m[i][i] for j in range(n)]
-        alpha.append(row)
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] -= m[r][i] * row[c]
-    return a, alpha
-
-
-def _int_interval(c: Fraction, lim: Fraction):
-    """Integers x with (x + c)^2 <= lim, as an inclusive (lo, hi) pair.
-
-    sqrt(lim) is sandwiched between isqrt-derived rationals and the
-    endpoints adjusted by exact comparison, so nothing on the boundary
-    is lost.
-    """
-    if lim < 0:
-        return 1, 0
-    s = isqrt(lim.numerator * lim.denominator)
-    outer = Fraction(s + 1, lim.denominator)  # > sqrt(lim)
-    hi = (outer - c).__floor__()
-    while (hi + c) ** 2 > lim:
-        if hi + c < 0:
-            return 1, 0  # hi has passed -c: no integer fits
-        hi -= 1
-    lo = (-outer - c).__floor__()
-    while (lo + c) ** 2 > lim:  # stops at hi at the latest
-        lo += 1
-    return lo, hi
-
-
 def norm_of(gram, v) -> int:
     n = len(gram)
     return sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
@@ -125,25 +86,40 @@ def norm_of(gram, v) -> int:
 
 @lru_cache(maxsize=4096)
 def short_vectors(gram: tuple, bound: int) -> tuple:
-    """All nonzero integer vectors with norm <= bound, exact arithmetic."""
+    """All nonzero integer vectors with norm <= bound, exact arithmetic.
+
+    The fraction-free elimination of a positive-definite Gram gives rows
+    u_k and leading minors D_k (D_0 = 1) with
+    Q(x) = sum_k (u_k . x)^2 / (D_k D_{k+1}).  Scaled by
+    M = prod_k D_k D_{k+1}, each coordinate range is exact in integers.
+    """
     n = len(gram)
-    a, alpha = _cholesky(gram)
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise DomainError("short vectors need a symmetric Gram matrix")
+    swaps, u = fraction_free_rows([list(row) for row in gram])
+    if swaps != 0 or any(u[k][k] <= 0 for k in range(n)):
+        raise DomainError(f"short vectors need a positive-definite Gram, got {gram}")
+    minors = [1] + [u[k][k] for k in range(n)]
+    scale = prod(minors[k] * minors[k + 1] for k in range(n))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out = []
     v = [0] * n
 
-    def rec(i, remaining):
-        if i < 0:
+    def rec(k, remaining):
+        if k < 0:
             if any(v):
                 out.append(tuple(v))
             return
-        c = sum(alpha[i][j] * v[j] for j in range(i + 1, n)) if i + 1 < n else Fraction(0)
-        lo, hi = _int_interval(c, remaining / a[i])
-        for x in range(lo, hi + 1):
-            v[i] = x
-            rec(i - 1, remaining - a[i] * (x + c) ** 2)
-        v[i] = 0
+        d, row, w = minors[k + 1], u[k], weights[k]
+        c = sum(row[j] * v[j] for j in range(k + 1, n))
+        s = isqrt(remaining // w)
+        for x in range(-((s + c) // d), (s - c) // d + 1):
+            v[k] = x
+            rec(k - 1, remaining - w * (d * x + c) ** 2)
+        v[k] = 0
 
-    rec(n - 1, Fraction(bound))
+    if bound >= 0:
+        rec(n - 1, scale * bound)
     for w in out:
         if norm_of(gram, w) > bound:
             raise InconsistentDataError(

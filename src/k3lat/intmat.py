@@ -139,6 +139,37 @@ def _mul_columns(rows, cols) -> IntMatrix:
         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in rows))
 
 
+def fraction_free_rows(rows):
+    """Bareiss fraction-free elimination of a square list of int rows, in place.
+
+    Returns (swaps, rows) with the rows upper triangular.  Without swaps,
+    the diagonal entry of row k is the (k+1)-th leading principal minor.
+    A column with no nonzero pivot left makes ``swaps`` None: singular.
+    """
+    n = len(rows)
+    swaps = 0
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    swaps += 1
+                    break
+            else:
+                return None, rows
+        row_k = rows[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return swaps, rows
+
+
 def det_exact(a: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
@@ -146,31 +177,10 @@ def det_exact(a: IntMatrix) -> int:
     """
     if not a.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {a.shape}")
-    n = a.nrows
-    if n == 0:
+    if a.nrows == 0:
         return 1
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    swaps, m = fraction_free_rows(a.to_lists())
+    return 0 if swaps is None else (-1) ** swaps * m[-1][-1]
 
 
 def _find_pivot(m, start, nrows, ncols):

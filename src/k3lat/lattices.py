@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DegenerateLatticeError, DomainError
-from .intmat import IntMatrix, det_exact, invariant_factors, strict_int
+from .intmat import IntMatrix, det_exact, fraction_free_rows, invariant_factors, strict_int
 
 _ADE_RANK_BOUNDS = {"A": 1, "D": 4, "E": 6}
 
@@ -181,9 +181,10 @@ def disc_group(l: GramLattice) -> tuple:
 
     Their product equals |det|.
     """
-    if l.rank and l.det == 0:
+    factors = invariant_factors(l.gram)
+    if 0 in factors:
         raise DegenerateLatticeError("lattice is degenerate")
-    return tuple(d for d in invariant_factors(l.gram) if d > 1)
+    return tuple(d for d in factors if d > 1)
 
 
 def rescale(l: GramLattice, k: int) -> GramLattice:
@@ -210,13 +211,10 @@ def stabilizer_order(c: RootComponent) -> int:
 
 
 def _definite(l: GramLattice, sign: int) -> bool:
-    g = l.gram.rows
-    n = l.rank
-    for k in range(1, n + 1):
-        minor = det_exact(IntMatrix([[sign * g[i][j] for j in range(k)] for i in range(k)]))
-        if minor <= 0:
-            return False
-    return True
+    # every leading minor of sign * gram is positive; one that is zero
+    # forces a row swap
+    swaps, u = fraction_free_rows([[sign * x for x in row] for row in l.gram.rows])
+    return swaps == 0 and all(u[k][k] > 0 for k in range(l.rank))
 
 
 def is_negative_definite(l: GramLattice) -> bool:

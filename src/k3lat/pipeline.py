@@ -401,15 +401,16 @@ def record_from_dict(obj: dict) -> ActionRecord:
     name = _strict_str(obj["name"], "name")
     census = obj["census"]
     if census is not None:
-        try:
-            census = {
-                int(k): strict_int(v, f"{name}: census count for order {k}")
-                for k, v in census.items()
-            }
-        except (AttributeError, ValueError):
-            raise DomainError(
-                f"{name}: census must map orders to counts"
-            ) from None
+        if not isinstance(census, dict):
+            raise DomainError(f"{name}: census must map orders to counts")
+        for k in census:
+            # one spelling per order: "04" or "+4" next to "4" would merge
+            if not (type(k) is str and k.isdecimal() and str(int(k)) == k):
+                raise DomainError(f"{name}: census key {k!r} is not a canonical decimal")
+        census = {
+            int(k): strict_int(v, f"{name}: census count for order {k}")
+            for k, v in census.items()
+        }
 
     def optional_int(field):
         value = obj[field]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from det_reference import leibniz_det
 from k3lat import discforms, intmat
 from k3lat.cli import main
 from k3lat.discforms import (
@@ -97,6 +98,9 @@ def test_isomorphism_search_stays_within_budget():
     t = orthogonal_sum([f1, f2])
     assert are_isomorphic(t, t)
     assert are_isomorphic(orthogonal_sum([f2, f1]), t)
+    # Mapping a small-order generator first spent the budget on this form.
+    zero = FiniteQuadraticForm([2, 2, 4, 2, 4], [[0] * 5 for _ in range(5)])
+    assert are_isomorphic(zero, zero)
 
 
 def test_isomorphic_after_regluing_generators():
@@ -245,6 +249,8 @@ def test_form_orders_are_strict_integers():
     # 3 * 1/3 is an integer, but 3^2 * 1/3 is odd, so q(3 g) would not vanish
     ((3,), ((Fraction(1, 3),),), "not well defined"),
     ((2, 2), ((0, Fraction(1, 2)), (0, 0)), "differ mod 1"),
+    ((2,), ((Fraction(1, 4),),), "too fine"),
+    ((2, 4), ((0, Fraction(-1, 4)), (Fraction(-1, 4), 0)), "too fine"),
 ])
 def test_form_values_well_defined_and_symmetric(orders, gram, fragment):
     with pytest.raises(DomainError, match=fragment):
@@ -335,15 +341,6 @@ def test_integer_gram_bookkeeping(f1, f2):
 
 # -- independent references for the Smith-transform constructions ------------
 
-def _leibniz_det(g):
-    n = len(g)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(g[i][perm[i]] for i in range(n))
-    return total
-
-
 @st.composite
 def even_lattices(draw, max_det=30):
     """(Gram in a seeded unimodular basis, det) of an even nondegenerate
@@ -354,7 +351,7 @@ def even_lattices(draw, max_det=30):
         g[i][i] = 2 * draw(st.integers(-3, 3))
         for j in range(i):
             g[i][j] = g[j][i] = draw(st.integers(-3, 3))
-    det = _leibniz_det(g)
+    det = leibniz_det(g)
     assume(det != 0 and abs(det) <= max_det)
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = [[int(i == j) for j in range(n)] for i in range(n)]

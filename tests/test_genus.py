@@ -1,7 +1,12 @@
-from fractions import Fraction
+import itertools
+import random
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from det_reference import leibniz_det
 from genus_reference import reference_classes
 from k3lat import genus
 from k3lat.discforms import are_isomorphic, disc_form, negate
@@ -9,7 +14,6 @@ from k3lat.errors import DomainError, ResourceLimitError
 from k3lat.genus import (
     GenusSpec,
     ReducedForm,
-    _int_interval,
     enumerate_reduced,
     genus_class_count,
     is_isometric,
@@ -87,6 +91,58 @@ def test_short_vectors_against_box_oracle():
         assert set(short_vectors(gram, 8)) == brute
 
 
+@st.composite
+def definite_grams(draw):
+    """A positive-definite Gram of rank <= 3 (not necessarily even or
+    reduced) in a seeded unimodular basis."""
+    n = draw(st.integers(1, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.integers(1, 8))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    assume(all(leibniz_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in p:
+            row[j] += c * row[i]
+    return tuple(tuple(sum(p[a][i] * g[a][b] * p[b][j] for a in range(n) for b in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(definite_grams(), st.data())
+def test_short_vectors_match_box_oracle_in_any_basis(gram, data):
+    n = len(gram)
+    bound = data.draw(st.integers(-1, 2 * max(gram[i][i] for i in range(n))))
+    # Q(x) <= B forces x_i^2 <= B * (G^-1)_ii = B * minor_ii / det
+    det = leibniz_det(gram)
+    box = [isqrt(max(bound, 0) * leibniz_det([[gram[a][b] for b in range(n) if b != i]
+                                               for a in range(n) if a != i]) // det)
+           for i in range(n)]
+    brute = {v for v in itertools.product(*(range(-r, r + 1) for r in box))
+             if any(v) and norm_of(gram, v) <= bound}
+    found = short_vectors(gram, bound)
+    assert len(found) == len(set(found))
+    assert set(found) == brute
+
+
+@pytest.mark.parametrize("gram", [
+    ((0,),),
+    ((-2,),),
+    ((2, 3), (3, 2)),  # (1, -1) has norm -2
+    ((0, 1), (1, 0)),
+    ((2, 1, 0), (1, 2, 1), (0, 1, 0)),
+    ((2, 1), (0, 2)),  # not symmetric
+])
+def test_short_vectors_refuse_grams_that_are_not_positive_definite(gram):
+    with pytest.raises(DomainError):
+        short_vectors(gram, 4)
+
+
 def test_is_isometric_examples():
     f = ReducedForm(((2, 0), (0, 4)))
     assert is_isometric(f, f)
@@ -160,14 +216,6 @@ def test_rank19_complement_genus_counts(cfg, det, expected):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not is_isometric(reps[i], reps[j])
-
-
-def test_int_interval_empty():
-    # (x + 1/2)^2 <= 1/12 has no integer solution; the scan used to step
-    # away from -c for ever
-    assert _int_interval(Fraction(1, 2), Fraction(1, 12)) == (1, 0)
-    assert _int_interval(Fraction(-1, 2), Fraction(1, 12)) == (1, 0)
-    assert _int_interval(Fraction(1, 2), Fraction(1, 4)) == (-1, 0)
 
 
 def _flip_first(gram):

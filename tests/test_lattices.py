@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from det_reference import leibniz_det
+from k3lat.discforms import disc_form
 from k3lat.errors import DegenerateLatticeError, DomainError
 from k3lat.intmat import IntMatrix
 from k3lat.lattices import (
@@ -66,8 +70,11 @@ def test_disc_group_examples():
 
 
 def test_disc_group_singular():
-    with pytest.raises(DegenerateLatticeError):
-        disc_group(GramLattice([[2, 2], [2, 2]]))
+    for gram in ([[2, 2], [2, 2]], [[0]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]]):
+        with pytest.raises(DegenerateLatticeError):
+            disc_group(GramLattice(gram))
+        with pytest.raises(DegenerateLatticeError):
+            disc_form(GramLattice(gram))
 
 
 def test_rescale():
@@ -141,6 +148,25 @@ def test_definiteness_checks():
     assert is_positive_definite(pos)
     assert not is_negative_definite(pos)
     assert not is_positive_definite(GramLattice([[2, 3], [3, 2]]))
+    # a zero leading minor makes the elimination swap rows
+    hyperbolic = GramLattice([[0, 1], [1, 0]])
+    assert not is_positive_definite(hyperbolic)
+    assert not is_negative_definite(hyperbolic)
+    assert not is_positive_definite(GramLattice([[2, 2], [2, 2]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_definiteness_matches_leading_minors(entries):
+    n = len(entries)
+    # a tripled diagonal makes definite matrices common, zero stays possible
+    g = [[entries[max(i, j)][min(i, j)] * (3 if i == j else 1) for j in range(n)]
+         for i in range(n)]
+    for sign, test in ((1, is_positive_definite), (-1, is_negative_definite)):
+        minors = [leibniz_det([[sign * x for x in row[:k]] for row in g[:k]])
+                  for k in range(1, n + 1)]
+        assert test(GramLattice(g)) == all(m > 0 for m in minors)
 
 
 def test_gram_must_be_symmetric():

@@ -278,6 +278,12 @@ def test_record_file_rejects_non_object_records():
     ("glue_index", False),
     ("h3_order", 2.7),
     ("census", {"2": 9.7, "3": 8, "4": 6}),
+    ("census", {"2": 9, "3": 8, "4": 6, "04": 6}),
+    ("census", {"2": 9, "03": 8, "4": 6}),
+    ("census", {"2": 9, "+3": 8, "4": 6}),
+    ("census", {"2": 9, "0_3": 8, "4": 6}),
+    ("census", {"2": 9, " 3 ": 8, "4": 6}),
+    ("census", [9, 8, 6]),
     ("name", None),
     ("name", 4),
     ("config", 7),
