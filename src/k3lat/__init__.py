@@ -60,6 +60,7 @@ from .pipeline import (
     glue_quotient_order,
     rank_from_config,
     rank_from_group,
+    records_to_json,
     shipped_records,
     tables_disjoint,
     torus_quotient_tables,

@@ -327,8 +327,13 @@ def _parts_isomorphic(p1, p2) -> bool:
                     return True
         return False
 
-    return place({i: by_profile.get((d, p1.gram[i][i]), []) for i, d in enumerate(p1.orders)},
-                 {p2.zero})
+    def domain(i, d):
+        # p2's own unit vector e_i first: for two forms in one basis the
+        # identity map is then found without backtracking
+        e_i = tuple(int(t == i) for t in range(len(p2.orders)))
+        return sorted(by_profile.get((d, p1.gram[i][i]), []), key=lambda y: y != e_i)
+
+    return place({i: domain(i, d) for i, d in enumerate(p1.orders)}, {p2.zero})
 
 
 def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:

@@ -79,7 +79,7 @@ class FiniteGroup:
         return cls([[(i + j) % n for j in range(n)] for i in range(n)], _trusted=True)
 
     @classmethod
-    def from_permutations(cls, perms, limit=PERMUTATION_CLOSURE_LIMIT):
+    def from_permutations(cls, perms):
         """Close a set of permutations (tuples of images) into a group."""
         perms = strict_int_rows([tuple(p) for p in perms], "permutation images")
         if not perms:
@@ -97,14 +97,13 @@ class FiniteGroup:
             for g in perms:
                 prod = tuple(g[w[i]] for i in range(deg))
                 if prod not in index:
-                    if len(elems) >= limit:
+                    if len(elems) >= PERMUTATION_CLOSURE_LIMIT:
                         raise ResourceLimitError(
-                            f"group closure exceeded {limit} elements"
+                            f"group closure exceeded {PERMUTATION_CLOSURE_LIMIT} elements"
                         )
                     index[prod] = len(elems)
                     elems.append(prod)
                     queue.append(prod)
-        n = len(elems)
         table = [
             [index[tuple(b[a[i]] for i in range(deg))] for b in elems]
             for a in elems
@@ -112,7 +111,7 @@ class FiniteGroup:
         return cls(table, _trusted=True)
 
     @classmethod
-    def from_cycles(cls, cycle_strings, limit=PERMUTATION_CLOSURE_LIMIT):
+    def from_cycles(cls, cycle_strings):
         """Build from generators in cycle notation, e.g. ["(1,2)", "(1,2,3,4)"]."""
         raw = [_parse_cycles(s) for s in cycle_strings]
         deg = max((max(c) for cycles in raw for c in cycles if c), default=0)
@@ -123,7 +122,7 @@ class FiniteGroup:
                 for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                     p[a - 1] = b - 1
             perms.append(tuple(p))
-        return cls.from_permutations(perms, limit=limit)
+        return cls.from_permutations(perms)
 
     def element_order(self, i) -> int:
         x = i

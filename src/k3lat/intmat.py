@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: determinants, Smith normal form, kernels,
-prime factorization.
+"""Exact integer arithmetic: determinants, Smith normal form, prime
+factorization.
 
 Everything here runs on Python's arbitrary-precision integers.  The
 Bareiss intermediates for a rank-19 Gram matrix already overflow 64 bits,
@@ -9,7 +9,6 @@ so no fixed-width shortcut is taken anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 
@@ -310,50 +309,6 @@ def invariant_factors(a: IntMatrix) -> tuple:
 def invariant_factors_of_rows(rows, ncols) -> tuple:
     """invariant_factors for a raw list-of-lists (mutated in place)."""
     return tuple(_snf_inplace(rows, len(rows), ncols))
-
-
-def rank(a: IntMatrix) -> int:
-    return sum(1 for x in invariant_factors(a) if x != 0)
-
-
-def solve_exact(a: IntMatrix, b: IntMatrix):
-    """Solve a @ x = b over the rationals for square nonsingular ``a``.
-
-    Returns x as a list of Fraction rows.
-    """
-    if not a.is_square():
-        raise DimensionError("solve needs a square coefficient matrix")
-    if a.nrows != b.nrows:
-        raise DimensionError("right-hand side has the wrong height")
-    n, w = a.nrows, b.ncols
-    m = [[Fraction(x) for x in arow] + [Fraction(y) for y in brow]
-         for arow, brow in zip(a.rows, b.rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise DomainError("coefficient matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:n + w] for row in m]
-
-
-def kernel_basis(a: IntMatrix) -> list:
-    """Basis of the integer kernel {x : a @ x = 0}, as column vectors.
-
-    The kernel of an integer matrix is a saturated sublattice, so the
-    columns of the Smith ``v`` transform beyond the rank are a basis.
-    """
-    sf = smith_normal_form(a)
-    r = sum(1 for x in sf.d if x != 0)
-    cols = []
-    for j in range(r, a.ncols):
-        cols.append([sf.v.rows[i][j] for i in range(a.ncols)])
-    return cols
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:

@@ -43,6 +43,11 @@ class RootComponent:
         return f"{self.kind}{self.n}"
 
 
+def _check_rank_cap(rank):
+    if rank > CONFIG_RANK_CAP:
+        raise DomainError(f"configuration rank {rank} exceeds the cap {CONFIG_RANK_CAP}")
+
+
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?([ADE])(\d+)$")
 
 
@@ -59,14 +64,11 @@ class ADEConfig:
     def __post_init__(self):
         comps = tuple(sorted(self.components, key=lambda c: (-c.n, c.kind)))
         object.__setattr__(self, "components", comps)
-        if self.rank > CONFIG_RANK_CAP:
-            raise DomainError(
-                f"configuration rank {self.rank} exceeds the cap {CONFIG_RANK_CAP}"
-            )
+        _check_rank_cap(self.rank)
 
     @classmethod
     def parse(cls, text: str) -> "ADEConfig":
-        comps = []
+        terms = []
         stripped = re.sub(r"\s+", "", text)
         if stripped:
             for term in stripped.split(","):
@@ -76,8 +78,10 @@ class ADEConfig:
                 mult = int(m.group(1)) if m.group(1) else 1
                 if mult < 1:
                     raise DomainError(f"bad multiplicity in {term!r}")
-                comps.extend([RootComponent(m.group(2), int(m.group(3)))] * mult)
-        return cls(tuple(comps))
+                terms.append((mult, RootComponent(m.group(2), int(m.group(3)))))
+        # refuse before expanding: "10**9*A1" would otherwise build 10**9 components
+        _check_rank_cap(sum(mult * c.n for mult, c in terms))
+        return cls(tuple(c for mult, c in terms for _ in range(mult)))
 
     def __str__(self):
         out = []

@@ -25,7 +25,6 @@ from .lattices import (
     ADEConfig,
     config_lattice,
     det_sign,
-    disc_group,
     stabilizer_order,
 )
 
@@ -68,6 +67,15 @@ class ActionRecord:
     def validate(self):
         if self.group_order < 1:
             raise InconsistentDataError(f"{self.name}: group order must be positive")
+        # symplectic elements have order <= 8, so by Cauchy no prime above 7 divides |G|
+        rest = self.group_order
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
+            raise InconsistentDataError(
+                f"{self.name}: group order {self.group_order} has a prime factor above 7"
+            )
         if self.config.rank > 19:
             raise InconsistentDataError(
                 f"{self.name}: configuration rank {self.config.rank} exceeds 19"
@@ -275,12 +283,7 @@ def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> Invari
         raise ChainInconsistencyError(
             "d_h2g", f"{rec.name}: h3_order unknown; supply it to run the chain"
         )
-    glue_sq = rec.glue_index**2
-    if d_k % glue_sq:
-        raise ChainInconsistencyError(
-            "d_m", f"{rec.name}: d(K) = {d_k} not divisible by glue_index^2 = {glue_sq}"
-        )
-    d_m = d_k // glue_sq
+    d_m = d_k // rec.glue_index**2
     power = rec.group_order ** (K3_RANK - r)
     if power % d_m:
         raise ChainInconsistencyError(
@@ -331,17 +334,6 @@ def glue_quotient_order(rec: ActionRecord) -> int:
             "glue_index", f"{rec.name}: glue_index unknown"
         )
     return rec.glue_index
-
-
-def check_disc_group(rec: ActionRecord, expected_primary: dict) -> bool:
-    """Does disc(K) have the given primary decomposition {p: [exponents]}?"""
-    factors = disc_group(config_lattice(rec.config))
-    found = {}
-    for d in factors:
-        for p, e in factorize(d).items():
-            found.setdefault(p, []).append(e)
-    found = {p: sorted(es) for p, es in found.items()}
-    return found == {p: sorted(es) for p, es in expected_primary.items()}
 
 
 # -- built-in classification tables ---------------------------------------

@@ -72,6 +72,19 @@ def test_invariants_inexact_chain_step_named(tmp_path, capsys):
     assert "does not divide" in err or "not divisible" in err
 
 
+def test_invariants_group_order_with_a_large_prime_exits_two(tmp_path, capsys):
+    # 10^9 + 7 is prime, and no symplectic automorphism has an order above 8
+    def mutate(objs):
+        for o in objs:
+            if o["name"] == "C2":
+                o["group_order"], o["census"] = 10**9 + 7, None
+
+    path = write_records(tmp_path, shipped_records(), mutate)
+    code, out, err = run_cli(capsys, "invariants", path, "--name", "C2")
+    assert code == 2
+    assert "prime factor above 7" in err
+
+
 def test_verify_shipped_all_pass(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify")
     assert code == 0

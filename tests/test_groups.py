@@ -121,7 +121,7 @@ def test_cayley_validation():
 
 def test_closure_limit():
     with pytest.raises(ResourceLimitError):
-        FiniteGroup.from_cycles(["(1,2)", "(1,2,3,4,5,6,7,8,9,10)"], limit=100)
+        FiniteGroup.from_cycles(["(1,2)", "(1,2,3,4,5,6,7,8,9,10)"])
 
 
 def test_cycle_parsing():

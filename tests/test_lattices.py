@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,11 @@ def test_config_rank_cap():
     assert ADEConfig.parse("21*A1").rank == 21
     with pytest.raises(DomainError):
         ADEConfig.parse("22*A1")
+    # refused from the multiplicities, before a billion components are built
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="rank 1000000002 exceeds the cap 21"):
+        ADEConfig.parse("1000000000*A1,A2")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_direct_sum_det_multiplicative():

@@ -3,12 +3,11 @@ from math import gcd
 import pytest
 
 from k3lat.errors import ChainInconsistencyError, DomainError, InconsistentDataError
-from k3lat.lattices import ADEConfig
+from k3lat.lattices import ADEConfig, config_lattice, disc_group
 from k3lat.pipeline import (
     DEFAULT_FIXED_POINT_PROFILE,
     ActionRecord,
     _euler_phi,
-    check_disc_group,
     derive_fixed_point_profile,
     discriminant_chain,
     factored,
@@ -197,6 +196,14 @@ def test_record_rank_invariant():
         ActionRecord("big", 2, None, ADEConfig.parse("20*A1"), 1, 1, "").validate()
 
 
+@pytest.mark.parametrize("order", [11, 2 * 13, 10**9 + 7])
+def test_record_refuses_a_prime_above_seven_in_the_group_order(order):
+    # symplectic elements have order <= 8, so by Cauchy no larger prime divides |G|
+    rec = ActionRecord("big prime", order, None, ADEConfig.parse("16*A1"), 1, 1, "")
+    with pytest.raises(InconsistentDataError, match="prime factor above 7"):
+        rec.validate()
+
+
 def test_glue_quotient_order():
     assert glue_quotient_order(RECORDS["L2(7)"]) == 1
     assert glue_quotient_order(RECORDS["S4"]) == 2
@@ -221,10 +228,7 @@ def test_glue_indices_realized_by_isotropic_subgroups():
 
 
 def test_a5_disc_group_matches():
-    assert check_disc_group(
-        RECORDS["A5"], {5: [1, 1], 3: [1, 1, 1], 2: [1, 1, 1, 1]}
-    )
-    assert not check_disc_group(RECORDS["A5"], {5: [2], 3: [1, 1, 1], 2: [1] * 4})
+    assert disc_group(config_lattice(RECORDS["A5"].config)) == (2, 6, 30, 30)
 
 
 def test_torus_tables_content():
