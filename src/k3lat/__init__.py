@@ -8,61 +8,76 @@ cohomology oracle for small groups, and the classification of rank <= 3
 definite even lattices by determinant and discriminant form.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .discforms import (
-    FiniteQuadraticForm,
-    are_isomorphic,
-    disc_form,
-    element_fingerprint,
-    isotropic_subgroups,
-    negate,
-    orthogonal_sum,
-    overlattice_disc,
-    p_primary_parts,
-)
-from .genus import (
-    GenusSpec,
-    ReducedForm,
-    enumerate_reduced,
-    genus_class_count,
-    is_isometric,
-    short_vectors,
-)
-from .groups import FiniteGroup, h3_bar_resolution, order_census
-from .intmat import (
-    IntMatrix,
-    SmithForm,
-    det_exact,
-    invariant_factors,
-    smith_normal_form,
-)
-from .lattices import (
-    ADEConfig,
-    GramLattice,
-    RootComponent,
-    ade_lattice,
-    config_lattice,
-    det_sign,
-    direct_sum,
-    disc_group,
-    is_negative_definite,
-    is_positive_definite,
-    rescale,
-    stabilizer_order,
-)
-from .pipeline import (
-    DEFAULT_FIXED_POINT_PROFILE,
-    ActionRecord,
-    InvariantReport,
-    derive_fixed_point_profile,
-    discriminant_chain,
-    glue_quotient_order,
-    rank_from_config,
-    rank_from_group,
-    records_to_json,
-    shipped_records,
-    tables_disjoint,
-    torus_quotient_tables,
-    xiao_consistency,
-)
+# Public name -> the submodule that defines it.  Names resolve on first use
+# (PEP 562), so a process loads only the submodules it touches: the
+# ``tables``, ``invariants`` and ``verify`` commands never compile
+# ``discforms``, ``genus`` or ``groups``.
+_EXPORTS = {
+    "FiniteQuadraticForm": "discforms",
+    "are_isomorphic": "discforms",
+    "disc_form": "discforms",
+    "element_fingerprint": "discforms",
+    "isotropic_subgroups": "discforms",
+    "negate": "discforms",
+    "orthogonal_sum": "discforms",
+    "overlattice_disc": "discforms",
+    "p_primary_parts": "discforms",
+    "GenusSpec": "genus",
+    "ReducedForm": "genus",
+    "enumerate_reduced": "genus",
+    "genus_class_count": "genus",
+    "is_isometric": "genus",
+    "short_vectors": "genus",
+    "FiniteGroup": "groups",
+    "h3_bar_resolution": "groups",
+    "order_census": "groups",
+    "IntMatrix": "intmat",
+    "SmithForm": "intmat",
+    "det_exact": "intmat",
+    "invariant_factors": "intmat",
+    "smith_normal_form": "intmat",
+    "ADEConfig": "lattices",
+    "GramLattice": "lattices",
+    "RootComponent": "lattices",
+    "ade_lattice": "lattices",
+    "config_lattice": "lattices",
+    "config_det": "lattices",
+    "det_sign": "lattices",
+    "direct_sum": "lattices",
+    "disc_group": "lattices",
+    "is_negative_definite": "lattices",
+    "is_positive_definite": "lattices",
+    "rescale": "lattices",
+    "stabilizer_order": "lattices",
+    "DEFAULT_FIXED_POINT_PROFILE": "pipeline",
+    "ActionRecord": "pipeline",
+    "InvariantReport": "pipeline",
+    "derive_fixed_point_profile": "pipeline",
+    "discriminant_chain": "pipeline",
+    "glue_quotient_order": "pipeline",
+    "rank_from_config": "pipeline",
+    "rank_from_group": "pipeline",
+    "records_to_json": "pipeline",
+    "shipped_records": "pipeline",
+    "tables_disjoint": "pipeline",
+    "torus_quotient_tables": "pipeline",
+    "xiao_consistency": "pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    # a submodule name is not in the table, so ``from . import pipeline``
+    # falls through to the import system
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

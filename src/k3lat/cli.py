@@ -16,9 +16,7 @@ import json
 import random
 import sys
 
-from . import genus as genusmod
 from . import pipeline
-from .discforms import disc_form, negate
 from .errors import (
     ChainInconsistencyError,
     DomainError,
@@ -26,8 +24,7 @@ from .errors import (
     K3latError,
     ResourceLimitError,
 )
-from .groups import H3_DEFAULT_CAP, FiniteGroup, h3_bar_resolution
-from .intmat import IntMatrix, det_exact, smith_normal_form, strict_int_rows
+from .intmat import IntMatrix, det_exact, parse_json, smith_normal_form, strict_int_rows
 from .lattices import ADEConfig, GramLattice, config_lattice
 
 EXIT_OK = 0
@@ -74,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("h3", help="H^3(G, Z) for a small group")
     ph.add_argument("group_file",
                     help='JSON with {"cayley": [[...]]} or {"perm_generators": [...]}')
-    ph.add_argument("--cap", type=int, default=H3_DEFAULT_CAP,
+    # None stands for groups.H3_DEFAULT_CAP, read in cmd_h3 so that building
+    # the parser does not import groups
+    ph.add_argument("--cap", type=int, default=None,
                     help="largest group order the oracle will attempt")
 
     sub.add_parser("tables", help="print the built-in classification tables")
@@ -192,6 +191,9 @@ def cmd_verify(args, seed=0) -> int:
 
 
 def cmd_genus(args) -> int:
+    from . import genus as genusmod
+    from .discforms import disc_form, negate
+
     if args.disc_from_config and args.disc_from_gram:
         raise DomainError("give at most one of --disc-from-config / --disc-from-gram")
     disc = None
@@ -199,7 +201,7 @@ def cmd_genus(args) -> int:
         disc = negate(disc_form(config_lattice(ADEConfig.parse(args.disc_from_config))))
     elif args.disc_from_gram:
         with open(args.disc_from_gram, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = parse_json(fh.read(), "gram file")
         if not isinstance(data, dict) or "gram" not in data:
             raise DomainError('gram file must be JSON {"gram": [[...]]}')
         disc = disc_form(GramLattice(IntMatrix(strict_int_rows(data["gram"], "gram"))))
@@ -220,9 +222,11 @@ def cmd_genus(args) -> int:
     return EXIT_OK
 
 
-def _group_from_file(path) -> FiniteGroup:
+def _group_from_file(path):
+    from .groups import FiniteGroup
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = parse_json(fh.read(), "group file")
     if not isinstance(data, dict):
         raise DomainError("group file must be a JSON object")
     if "cayley" in data and "perm_generators" in data:
@@ -246,8 +250,10 @@ def _factors_str(factors) -> str:
 
 
 def cmd_h3(args) -> int:
+    from .groups import H3_DEFAULT_CAP, h3_bar_resolution
+
     g = _group_from_file(args.group_file)
-    factors = h3_bar_resolution(g, cap=args.cap)
+    factors = h3_bar_resolution(g, cap=H3_DEFAULT_CAP if args.cap is None else args.cap)
     if args.json:
         print(json.dumps({"order": g.order, "h3_invariant_factors": list(factors)}))
     else:

@@ -8,9 +8,24 @@ so no fixed-width shortcut is taken anywhere.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
+
+
+def parse_json(text, what):
+    """``json.loads``; an integer too long for ``int()`` is refused by name."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() raises a bare ValueError past sys.get_int_max_str_digits()
+        raise DomainError(
+            f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def strict_int(value, what):

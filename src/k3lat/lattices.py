@@ -49,6 +49,9 @@ def _check_rank_cap(rank):
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?([ADE])(\d+)$")
+# far above any rank under CONFIG_RANK_CAP, far below the 4300 digits that
+# int() converts before it raises a bare ValueError
+_MAX_TERM_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,16 @@ class ADEConfig:
                 m = _TERM_RE.match(term)
                 if not m:
                     raise DomainError(f"cannot parse configuration term {term!r}")
-                mult = int(m.group(1)) if m.group(1) else 1
+                mult_digits, kind, n_digits = m.groups()
+                if max(len(mult_digits or ""), len(n_digits)) > _MAX_TERM_DIGITS:
+                    raise DomainError(
+                        f"configuration term {term[:16]!r}... has a number of more "
+                        f"than {_MAX_TERM_DIGITS} digits"
+                    )
+                mult = int(mult_digits) if mult_digits else 1
                 if mult < 1:
                     raise DomainError(f"bad multiplicity in {term!r}")
-                terms.append((mult, RootComponent(m.group(2), int(m.group(3)))))
+                terms.append((mult, RootComponent(kind, int(n_digits))))
         # refuse before expanding: "10**9*A1" would otherwise build 10**9 components
         _check_rank_cap(sum(mult * c.n for mult, c in terms))
         return cls(tuple(c for mult, c in terms for _ in range(mult)))
@@ -178,6 +187,18 @@ def direct_sum(lattices) -> GramLattice:
 def config_lattice(config: ADEConfig) -> GramLattice:
     """Direct sum of the root lattices of a configuration."""
     return direct_sum(ade_lattice(c) for c in config.components)
+
+
+def config_det(config: ADEConfig) -> int:
+    """det of ``config_lattice(config)`` in closed form.
+
+    |det| is n+1 for A_n, 4 for D_n and 9-n for E_n; a negative-definite
+    lattice of rank r has sign (-1)^r.
+    """
+    det = -1 if config.rank % 2 else 1
+    for c in config.components:
+        det *= c.n + 1 if c.kind == "A" else 4 if c.kind == "D" else 9 - c.n
+    return det
 
 
 def disc_group(l: GramLattice) -> tuple:

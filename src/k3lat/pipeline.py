@@ -20,13 +20,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import ChainInconsistencyError, DomainError, InconsistentDataError
-from .intmat import factorize, strict_int
-from .lattices import (
-    ADEConfig,
-    config_lattice,
-    det_sign,
-    stabilizer_order,
-)
+from .intmat import factorize, parse_json, strict_int
+from .lattices import ADEConfig, config_det, det_sign, stabilizer_order
 
 K3_RANK = 22
 TOTAL_COHOMOLOGY_RANK = 24
@@ -95,7 +90,7 @@ class ActionRecord:
         if self.glue_index is not None:
             if self.glue_index < 1:
                 raise InconsistentDataError(f"{self.name}: glue index must be positive")
-            d_k = config_lattice(self.config).det
+            d_k = config_det(self.config)
             if d_k % self.glue_index**2:
                 raise InconsistentDataError(
                     f"{self.name}: glue_index^2 = {self.glue_index**2} does not "
@@ -274,7 +269,7 @@ def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> Invari
     """
     rec.validate()
     r = rank_from_config(rec.config)
-    d_k = config_lattice(rec.config).det
+    d_k = config_det(rec.config)
     if rec.glue_index is None:
         raise ChainInconsistencyError(
             "d_m", f"{rec.name}: glue_index unknown; supply it to run the chain"
@@ -435,7 +430,7 @@ def record_to_dict(rec: ActionRecord) -> dict:
 
 
 def records_from_json(text: str) -> list:
-    data = json.loads(text)
+    data = parse_json(text, "record file")
     if not isinstance(data, list):
         raise DomainError("record file must be a JSON array")
     return [record_from_dict(obj) for obj in data]

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from genus_reference import reference_classes
-from k3lat.cli import main
+from k3lat.cli import _group_from_file, main
+from k3lat.errors import DomainError
 from k3lat.pipeline import discriminant_chain, record_to_dict, shipped_records
 
 
@@ -224,6 +225,40 @@ def test_genus_rejects_non_integer_gram_exit_one(tmp_path, capsys, payload, frag
     assert code == 1
     assert out == ""
     assert fragment in err
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("config", [f"{NINES}*A1", f"A{NINES}"])
+def test_genus_refuses_an_overlong_config_number_exit_one(capsys, config):
+    code, out, err = run_cli(capsys, "genus", "--rank", "1", "--det", "2",
+                             "--disc-from-config", config)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: configuration term") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, payload, what", [
+    (["h3"], f'{{"cayley": [[{NINES}]]}}', "group file"),
+    (["genus", "--rank", "1", "--det", "2", "--disc-from-gram"],
+     f'{{"gram": [[{NINES}]]}}', "gram file"),
+    (["invariants"], f'[{{"group_order": {NINES}}}]', "record file"),
+])
+def test_json_readers_refuse_an_overlong_integer_exit_one(tmp_path, capsys, argv, payload, what):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {what} holds an integer of more than 4300 digits\n"
+
+
+def test_group_file_refuses_an_overlong_integer(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(f'{{"cayley": [[{NINES}]]}}')
+    with pytest.raises(DomainError, match="group file holds an integer"):
+        _group_from_file(str(path))
 
 
 def test_tables_output(capsys):

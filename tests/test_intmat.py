@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import gcd, prod
 
 import pytest
@@ -13,6 +14,7 @@ from k3lat.intmat import (
     det_exact,
     factorize,
     invariant_factors,
+    parse_json,
     smith_normal_form,
 )
 
@@ -145,3 +147,12 @@ def test_column_space_basis_spans_the_columns(data):
         for i in range(r):
             swapped = [row[:i] + [a.rows[k][j]] + row[i + 1:] for k, row in enumerate(b)]
             assert leibniz_det(swapped) % det_b == 0
+
+
+def test_parse_json_refuses_an_overlong_integer_by_name():
+    assert parse_json('{"gram": [[2]]}', "gram file") == {"gram": [[2]]}
+    with pytest.raises(DomainError, match="^gram file holds an integer of more than 4300 digits$"):
+        parse_json(f'{{"gram": [[{"9" * 5000}]]}}', "gram file")
+    # malformed JSON keeps its own error
+    with pytest.raises(json.JSONDecodeError):
+        parse_json("[1", "gram file")

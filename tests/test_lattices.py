@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from det_reference import leibniz_det
 from k3lat.discforms import disc_form
 from k3lat.errors import DegenerateLatticeError, DomainError
-from k3lat.intmat import IntMatrix
+from k3lat.intmat import IntMatrix, det_exact
 from k3lat.lattices import (
+    CONFIG_RANK_CAP,
     ADEConfig,
     GramLattice,
     RootComponent,
     ade_lattice,
+    config_det,
     config_lattice,
     det_sign,
     direct_sum,
@@ -124,6 +126,13 @@ def test_config_parsing():
         ADEConfig.parse("A3+A2")
 
 
+@pytest.mark.parametrize("text", ["9" * 5000 + "*A1", "A" + "9" * 5000, "9" * 101 + "*A1"])
+def test_parse_refuses_an_overlong_number_by_name(text):
+    # int() would raise a bare ValueError past 4300 digits
+    with pytest.raises(DomainError, match="has a number of more than 100 digits"):
+        ADEConfig.parse(text)
+
+
 def test_config_multiset_equality():
     assert ADEConfig.parse("A1,A2") == ADEConfig.parse("A2,A1")
     assert ADEConfig.parse("2*A1") != ADEConfig.parse("A1")
@@ -138,6 +147,31 @@ def test_config_rank_cap():
     with pytest.raises(DomainError, match="rank 1000000002 exceeds the cap 21"):
         ADEConfig.parse("1000000000*A1,A2")
     assert time.perf_counter() - start < 0.5
+
+
+ROOT_COMPONENTS = [
+    *(RootComponent("A", n) for n in range(1, 22)),
+    *(RootComponent("D", n) for n in range(4, 22)),
+    *(RootComponent("E", n) for n in (6, 7, 8)),
+]
+
+
+@pytest.mark.parametrize("component", ROOT_COMPONENTS, ids=str)
+def test_config_det_closed_form_per_component(component):
+    config = ADEConfig((component,))
+    assert config_det(config) == det_exact(config_lattice(config).gram)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(ROOT_COMPONENTS), max_size=12))
+def test_config_det_closed_form_matches_bareiss(drawn):
+    # keep the drawn components that still fit under the rank cap
+    comps = []
+    for c in drawn:
+        if sum(x.n for x in comps) + c.n <= CONFIG_RANK_CAP:
+            comps.append(c)
+    config = ADEConfig(tuple(comps))
+    assert config_det(config) == det_exact(config_lattice(config).gram)
 
 
 def test_direct_sum_det_multiplicative():

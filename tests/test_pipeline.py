@@ -273,6 +273,11 @@ def test_record_file_rejects_non_object_records():
         records_from_json("[1]")
 
 
+def test_record_file_refuses_an_overlong_integer_by_name():
+    with pytest.raises(DomainError, match="record file holds an integer of more than"):
+        records_from_json(f'[{{"group_order": {"9" * 5000}}}]')
+
+
 @pytest.mark.parametrize("field, value", [
     ("group_order", 24.9),
     ("group_order", True),
