@@ -11,11 +11,11 @@ tests; ``is_isometric`` and ``short_vectors`` are separate tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod
 
-from .discforms import FiniteQuadraticForm, are_isomorphic, disc_form
+from .discforms import are_isomorphic, disc_form
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
 from .intmat import IntMatrix, fraction_free_rows, invariant_factors, strict_int_rows
 from .lattices import GramLattice, disc_group
@@ -23,15 +23,14 @@ from .lattices import GramLattice, disc_group
 DET_BOUND = 100_000
 
 
-@dataclass(frozen=True)
-class ReducedForm:
-    """Even positive-definite Gram of rank <= 3 in reduced shape."""
+class ReducedForm(namedtuple("ReducedForm", "gram")):
+    """Even positive-definite Gram of rank <= 3 in reduced shape, stored as
+    a tuple of row tuples."""
 
-    gram: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        gram = strict_int_rows(self.gram, "ReducedForm gram")
-        object.__setattr__(self, "gram", gram)
+    def __new__(cls, gram):
+        gram = strict_int_rows(gram, "ReducedForm gram")
         n = len(gram)
         if not 1 <= n <= 3 or any(len(r) != n for r in gram):
             raise DomainError("reduced forms have rank 1..3")
@@ -48,6 +47,7 @@ class ReducedForm:
             raise DomainError("diagonal must be positive and ascending")
         if _det3(gram) <= 0 or (n >= 2 and gram[0][0] * gram[1][1] - gram[0][1] ** 2 <= 0):
             raise DomainError("form is not positive definite")
+        return super().__new__(cls, gram)
 
     @property
     def rank(self):
@@ -275,20 +275,19 @@ def enumerate_reduced(rank: int, det: int) -> list:
     return [ReducedForm(g) for g in grams]
 
 
-@dataclass(frozen=True)
-class GenusSpec:
-    """Target rank, determinant, and (optionally) discriminant form."""
+class GenusSpec(namedtuple("GenusSpec", "rank det disc", defaults=(None,))):
+    """Target rank, determinant, and (optionally) discriminant form, a
+    FiniteQuadraticForm."""
 
-    rank: int
-    det: int
-    disc: FiniteQuadraticForm | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.disc is not None and self.disc.group_order != self.det:
+    def __new__(cls, rank, det, disc=None):
+        if disc is not None and disc.group_order != det:
             raise DomainError(
-                f"discriminant group order {self.disc.group_order} "
-                f"differs from the determinant {self.det}"
+                f"discriminant group order {disc.group_order} "
+                f"differs from the determinant {det}"
             )
+        return super().__new__(cls, rank, det, disc)
 
 
 def genus_class_count(spec: GenusSpec):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionError, DomainError
 
@@ -130,17 +130,14 @@ class IntMatrix:
         return [list(r) for r in self.rows]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "d u v")):
     """Diagonalization u @ a @ v = diag(d) with u, v unimodular.
 
-    The diagonal ``d`` has length min(nrows, ncols); entries are
-    nonnegative and each divides the next.
+    The diagonal ``d`` (a tuple) has length min(nrows, ncols); entries are
+    nonnegative and each divides the next.  ``u`` and ``v`` are IntMatrix.
     """
 
-    d: tuple
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = ()
 
 
 def _identity_lists(n):

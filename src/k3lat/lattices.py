@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateLatticeError, DomainError
 from .intmat import IntMatrix, det_exact, fraction_free_rows, invariant_factors, strict_int
@@ -24,20 +24,20 @@ _STABILIZER_ORDERS = {"E": {6: 24, 7: 48, 8: 120}}
 CONFIG_RANK_CAP = 21
 
 
-@dataclass(frozen=True, order=True)
-class RootComponent:
-    """One irreducible root-system factor, e.g. A3 or D5."""
+class RootComponent(namedtuple("RootComponent", "kind n")):
+    """One irreducible root-system factor, e.g. A3 or D5: ``kind`` is one
+    of "A", "D", "E" and ``n`` the rank."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _ADE_RANK_BOUNDS:
-            raise DomainError(f"unknown root-system kind {self.kind!r}")
-        if self.n < _ADE_RANK_BOUNDS[self.kind]:
-            raise DomainError(f"{self.kind}{self.n} is below the minimal rank")
-        if self.kind == "E" and self.n not in (6, 7, 8):
-            raise DomainError(f"E{self.n} does not exist")
+    def __new__(cls, kind, n):
+        if kind not in _ADE_RANK_BOUNDS:
+            raise DomainError(f"unknown root-system kind {kind!r}")
+        if n < _ADE_RANK_BOUNDS[kind]:
+            raise DomainError(f"{kind}{n} is below the minimal rank")
+        if kind == "E" and n not in (6, 7, 8):
+            raise DomainError(f"E{n} does not exist")
+        return super().__new__(cls, kind, n)
 
     def __str__(self):
         return f"{self.kind}{self.n}"
@@ -54,20 +54,20 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?([ADE])(\d+)$")
 _MAX_TERM_DIGITS = 100
 
 
-@dataclass(frozen=True)
-class ADEConfig:
+class ADEConfig(namedtuple("ADEConfig", "components")):
     """Multiset of root components; the exceptional curves of a quotient.
 
-    The canonical text syntax is comma-separated ``<mult>*<Kind><n>``
-    terms, multiplicity 1 omitted: ``A6,2*A3,3*A2,A1``.
+    ``components`` is a tuple of RootComponents, stored sorted by
+    descending rank.  The canonical text syntax is comma-separated
+    ``<mult>*<Kind><n>`` terms, multiplicity 1 omitted: ``A6,2*A3,3*A2,A1``.
     """
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda c: (-c.n, c.kind)))
-        object.__setattr__(self, "components", comps)
+    def __new__(cls, components):
+        self = super().__new__(cls, tuple(sorted(components, key=lambda c: (-c.n, c.kind))))
         _check_rank_cap(self.rank)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "ADEConfig":

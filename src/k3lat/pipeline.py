@@ -15,9 +15,9 @@ serve as cross-checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from importlib import resources
+import os
+from collections import namedtuple
+from math import lcm
 
 from .errors import ChainInconsistencyError, DomainError, InconsistentDataError
 from .intmat import factorize, parse_json, strict_int
@@ -36,28 +36,23 @@ COKERNEL_INDEX_ASSUMPTION = (
     "index [H2(X)^G : J] taken equal to |H3(G,Z)| (exact transfer sequence)"
 )
 
-_RECORD_FIELDS = (
-    "name",
-    "group_order",
-    "census",
-    "config",
-    "glue_index",
-    "h3_order",
-    "provenance",
-)
+# the order of a finite group acting symplectically on a K3 surface is at
+# most 960 (Mukai); M20 attains it
+MAX_GROUP_ORDER = 960
 
 
-@dataclass(frozen=True)
-class ActionRecord:
-    """One group's symplectic-action data, as shipped or user-supplied."""
+class ActionRecord(namedtuple(
+    "ActionRecord",
+    "name group_order census config glue_index h3_order provenance",
+    defaults=("",),
+)):
+    """One group's symplectic-action data, as shipped or user-supplied.
 
-    name: str
-    group_order: int
-    census: dict | None
-    config: ADEConfig
-    glue_index: int | None
-    h3_order: int | None
-    provenance: str = ""
+    ``census`` (element order -> count), ``glue_index`` and ``h3_order``
+    may be None; ``config`` is an ADEConfig.
+    """
+
+    __slots__ = ()
 
     def validate(self):
         if self.group_order < 1:
@@ -70,6 +65,11 @@ class ActionRecord:
         if rest != 1:
             raise InconsistentDataError(
                 f"{self.name}: group order {self.group_order} has a prime factor above 7"
+            )
+        if self.group_order > MAX_GROUP_ORDER:
+            raise InconsistentDataError(
+                f"{self.name}: group order exceeds {MAX_GROUP_ORDER}, the largest "
+                f"order of a finite symplectic group (Mukai)"
             )
         if self.config.rank > 19:
             raise InconsistentDataError(
@@ -101,26 +101,22 @@ class ActionRecord:
         return self
 
     def with_values(self, **kwargs) -> "ActionRecord":
-        return replace(self, **kwargs).validate()
+        return self._replace(**kwargs).validate()
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Computed discriminant chain plus consistency flags for one record."""
+class InvariantReport(namedtuple(
+    "InvariantReport",
+    "name rank_sg rank_h2g d_k d_m d_j d_h2g d_sg xiao_ok rank_cross_ok sign_ok notes "
+    "assumption",
+    defaults=(COKERNEL_INDEX_ASSUMPTION,),
+)):
+    """Computed discriminant chain plus consistency flags for one record.
 
-    name: str
-    rank_sg: int
-    rank_h2g: int
-    d_k: int
-    d_m: int
-    d_j: int
-    d_h2g: int
-    d_sg: int
-    xiao_ok: bool
-    rank_cross_ok: bool | None
-    sign_ok: bool
-    notes: tuple
-    assumption: str = COKERNEL_INDEX_ASSUMPTION
+    ``rank_cross_ok`` is None without a census; ``notes`` is a tuple of
+    strings.
+    """
+
+    __slots__ = ()
 
     def all_ok(self) -> bool:
         return self.xiao_ok and self.sign_ok and self.rank_cross_ok is not False
@@ -184,19 +180,19 @@ def rank_from_group(census: dict, group_order: int, profile: dict | None = None)
 
 
 def xiao_consistency(config: ADEConfig, group_order: int) -> bool:
-    """Exact-rational stabilizer count: does the config fit the group order?
+    """Exact stabilizer count: does the config fit the group order?
 
-    Each component is one singular point whose stabilizer order is read
-    off the singularity type.
+    Each component is one singular point whose stabilizer order n_i is
+    read off the singularity type; the count
+    rank = 24 (|G| - 1) / |G| - sum (n_i - 1) / n_i
+    is compared in integers over the common denominator |G| lcm(n_i).
     """
     if group_order < 1:
         raise DomainError("group order must be positive")
-    lhs = Fraction(config.rank)
-    rhs = Fraction(24 * (group_order - 1), group_order)
-    for c in config.components:
-        n_i = stabilizer_order(c)
-        rhs -= Fraction(n_i - 1, n_i)
-    return lhs == rhs
+    orders = [stabilizer_order(c) for c in config.components]
+    den = group_order * lcm(*orders)
+    rhs = 24 * (group_order - 1) * (den // group_order)
+    return config.rank * den == rhs - sum((n_i - 1) * (den // n_i) for n_i in orders)
 
 
 def _euler_phi(n: int) -> int:
@@ -379,10 +375,10 @@ def _strict_str(value, what):
 def record_from_dict(obj: dict) -> ActionRecord:
     if not isinstance(obj, dict):
         raise DomainError("each record must be a JSON object")
-    unknown = set(obj) - set(_RECORD_FIELDS)
+    unknown = set(obj) - set(ActionRecord._fields)
     if unknown:
         raise DomainError(f"unknown record fields: {sorted(unknown)}")
-    missing = set(_RECORD_FIELDS) - set(obj)
+    missing = set(ActionRecord._fields) - set(obj)
     if missing:
         raise DomainError(f"missing record fields: {sorted(missing)}")
     name = _strict_str(obj["name"], "name")
@@ -442,5 +438,6 @@ def records_to_json(records) -> str:
 
 def shipped_records() -> list:
     """The record set bundled with the package."""
-    text = resources.files("k3lat").joinpath("data/records.json").read_text()
-    return records_from_json(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "records.json")
+    with open(path, encoding="utf-8") as fh:
+        return records_from_json(fh.read())

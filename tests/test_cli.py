@@ -86,6 +86,24 @@ def test_invariants_group_order_with_a_large_prime_exits_two(tmp_path, capsys):
     assert "prime factor above 7" in err
 
 
+@pytest.mark.parametrize("order", [2**13000, 1920, 960], ids=["2^13000", "1920", "960"])
+def test_invariants_group_order_above_mukais_bound_exits_two(tmp_path, capsys, order):
+    # a finite symplectic group has order at most 960 (Mukai); the JSON report
+    # of 2^13000 used to fail in str(d_j), d_j having more than 4300 digits
+    record = {"name": "big", "group_order": order, "census": None, "config": "16*A1",
+              "glue_index": 1, "h3_order": 1, "provenance": ""}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    code, out, err = run_cli(capsys, "--json", "invariants", str(path))
+    if order > 960:
+        assert (code, out) == (2, "")
+        assert err.startswith("error (inconsistent data): big: group order exceeds 960")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+        assert [r["name"] for r in json.loads(out)["reports"]] == ["big"]
+
+
 def test_verify_shipped_all_pass(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify")
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -501,7 +500,7 @@ def _with_reversed_v(monkeypatch):
 
     def corrupted(a):
         sf = real(a)
-        return dataclasses.replace(sf, v=IntMatrix([row[::-1] for row in sf.v.rows]))
+        return sf._replace(v=IntMatrix([row[::-1] for row in sf.v.rows]))
 
     monkeypatch.setattr(discforms, "smith_normal_form", corrupted)
 

@@ -1,9 +1,18 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from k3lat.errors import ChainInconsistencyError, DomainError, InconsistentDataError
-from k3lat.lattices import ADEConfig, config_lattice, disc_group
+from k3lat.lattices import (
+    CONFIG_RANK_CAP,
+    ADEConfig,
+    config_lattice,
+    disc_group,
+    stabilizer_order,
+)
 from k3lat.pipeline import (
     DEFAULT_FIXED_POINT_PROFILE,
     ActionRecord,
@@ -202,6 +211,50 @@ def test_record_refuses_a_prime_above_seven_in_the_group_order(order):
     rec = ActionRecord("big prime", order, None, ADEConfig.parse("16*A1"), 1, 1, "")
     with pytest.raises(InconsistentDataError, match="prime factor above 7"):
         rec.validate()
+
+
+@pytest.mark.parametrize("order", [2**13000, 1920], ids=["2^13000", "1920"])
+def test_record_refuses_a_group_order_above_mukais_bound(order):
+    rec = ActionRecord("big", order, None, ADEConfig.parse("16*A1"), 1, 1, "")
+    with pytest.raises(InconsistentDataError, match="group order exceeds 960"):
+        rec.validate()
+
+
+def _xiao_by_fractions(config, group_order):
+    """The stabilizer count in exact rationals: the oracle for the integer one."""
+    rhs = Fraction(24 * (group_order - 1), group_order)
+    for c in config.components:
+        n_i = stabilizer_order(c)
+        rhs -= Fraction(n_i - 1, n_i)
+    return Fraction(config.rank) == rhs
+
+
+COMPONENT_TERMS = [
+    *((f"A{n}", n) for n in range(1, CONFIG_RANK_CAP + 1)),
+    *((f"D{n}", n) for n in range(4, CONFIG_RANK_CAP + 1)),
+    *((f"E{n}", n) for n in (6, 7, 8)),
+]
+
+
+@st.composite
+def config_texts(draw):
+    """Configuration text of drawn components, cut off at the rank cap."""
+    terms, rank = [], 0
+    for term, n in draw(st.lists(st.sampled_from(COMPONENT_TERMS), max_size=CONFIG_RANK_CAP)):
+        if rank + n <= CONFIG_RANK_CAP:
+            terms.append(term)
+            rank += n
+    return ",".join(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts(), st.integers(1, 960))
+@example("8*A1", 2)
+@example("A6,2*A3,3*A2,A1", 168)
+@example("D4,2*A4,3*A2,A1", 960)
+def test_xiao_count_matches_the_fraction_formula(text, order):
+    config = ADEConfig.parse(text)
+    assert xiao_consistency(config, order) == _xiao_by_fractions(config, order)
 
 
 def test_glue_quotient_order():
