@@ -58,7 +58,6 @@ _EXPORTS = {
     "InvariantReport": "pipeline",
     "derive_fixed_point_profile": "pipeline",
     "discriminant_chain": "pipeline",
-    "glue_quotient_order": "pipeline",
     "rank_from_config": "pipeline",
     "rank_from_group": "pipeline",
     "records_to_json": "pipeline",

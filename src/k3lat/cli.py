@@ -55,10 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record file (JSON array); default: shipped records")
     pi.add_argument("--name", default=None,
                     help="only records whose name contains this substring")
+    pi.set_defaults(run=cmd_invariants)
 
     pv = sub.add_parser("verify", help="consistency matrix over a record file")
     pv.add_argument("file", nargs="?", default=None,
                     help="record file (JSON array); default: shipped records")
+    pv.set_defaults(run=cmd_verify)
 
     pg = sub.add_parser("genus", help="count classes of definite even lattices")
     pg.add_argument("--rank", type=int, required=True)
@@ -67,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the negated discriminant form of this ADE config")
     pg.add_argument("--disc-from-gram", default=None, metavar="FILE",
                     help='use the discriminant form of {"gram": [[...]]} in FILE')
+    pg.set_defaults(run=cmd_genus)
 
     ph = sub.add_parser("h3", help="H^3(G, Z) for a small group")
     ph.add_argument("group_file",
@@ -75,8 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the parser does not import groups
     ph.add_argument("--cap", type=int, default=None,
                     help="largest group order the oracle will attempt")
+    ph.set_defaults(run=cmd_h3)
 
-    sub.add_parser("tables", help="print the built-in classification tables")
+    pt = sub.add_parser("tables", help="print the built-in classification tables")
+    pt.set_defaults(run=cmd_tables)
     return p
 
 
@@ -153,7 +158,7 @@ def _selfcheck_snf(seed, cases=50):
     return True
 
 
-def cmd_verify(args, seed=0) -> int:
+def cmd_verify(args) -> int:
     records = _load_records(args.file)
     try:
         profile = pipeline.derive_fixed_point_profile(records)
@@ -167,7 +172,7 @@ def cmd_verify(args, seed=0) -> int:
         cross, _ = pipeline.rank_cross_check(rec, profile)
         rows.append({"name": rec.name, "xiao_ok": xiao, "rank_cross_ok": cross})
     disjoint = pipeline.tables_disjoint([r.config for r in records])
-    selfcheck = _selfcheck_snf(seed)
+    selfcheck = _selfcheck_snf(args.seed)
     if args.json:
         print(json.dumps({
             "records": rows,
@@ -186,7 +191,7 @@ def cmd_verify(args, seed=0) -> int:
         else:
             print(f"fixed-point profile: FAILED ({profile_error})")
         print(f"disjoint: {'true' if disjoint else 'false'}")
-        print(f"selfcheck(snf/det, seed={seed}): {_flag(selfcheck)}")
+        print(f"selfcheck(snf/det, seed={args.seed}): {_flag(selfcheck)}")
     return EXIT_OK
 
 
@@ -281,17 +286,7 @@ def cmd_tables(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "invariants":
-            return cmd_invariants(args)
-        if args.command == "verify":
-            return cmd_verify(args, seed=args.seed)
-        if args.command == "genus":
-            return cmd_genus(args)
-        if args.command == "h3":
-            return cmd_h3(args)
-        if args.command == "tables":
-            return cmd_tables(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ResourceLimitError as exc:
         print(f"error (resource bound): {exc}", file=sys.stderr)
         return EXIT_RESOURCE

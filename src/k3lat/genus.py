@@ -18,12 +18,12 @@ from math import isqrt, prod
 from .discforms import are_isomorphic, disc_form
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
 from .intmat import IntMatrix, fraction_free_rows, invariant_factors, strict_int_rows
-from .lattices import GramLattice, disc_group
+from .lattices import CheckedRecord, GramLattice, disc_group
 
 DET_BOUND = 100_000
 
 
-class ReducedForm(namedtuple("ReducedForm", "gram")):
+class ReducedForm(CheckedRecord, namedtuple("ReducedForm", "gram")):
     """Even positive-definite Gram of rank <= 3 in reduced shape, stored as
     a tuple of row tuples."""
 
@@ -275,7 +275,7 @@ def enumerate_reduced(rank: int, det: int) -> list:
     return [ReducedForm(g) for g in grams]
 
 
-class GenusSpec(namedtuple("GenusSpec", "rank det disc", defaults=(None,))):
+class GenusSpec(CheckedRecord, namedtuple("GenusSpec", "rank det disc")):
     """Target rank, determinant, and (optionally) discriminant form, a
     FiniteQuadraticForm."""
 

@@ -24,7 +24,22 @@ _STABILIZER_ORDERS = {"E": {6: 24, 7: 48, 8: 120}}
 CONFIG_RANK_CAP = 21
 
 
-class RootComponent(namedtuple("RootComponent", "kind n")):
+class CheckedRecord:
+    """First base of every namedtuple record whose ``__new__`` validates.
+
+    namedtuple's ``_make`` calls ``tuple.__new__`` directly, and
+    ``_replace`` calls ``_make``; routing ``_make`` through the class
+    makes both run the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class RootComponent(CheckedRecord, namedtuple("RootComponent", "kind n")):
     """One irreducible root-system factor, e.g. A3 or D5: ``kind`` is one
     of "A", "D", "E" and ``n`` the rank."""
 
@@ -54,7 +69,7 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?([ADE])(\d+)$")
 _MAX_TERM_DIGITS = 100
 
 
-class ADEConfig(namedtuple("ADEConfig", "components")):
+class ADEConfig(CheckedRecord, namedtuple("ADEConfig", "components")):
     """Multiset of root components; the exceptional curves of a quotient.
 
     ``components`` is a tuple of RootComponents, stored sorted by

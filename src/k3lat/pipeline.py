@@ -21,7 +21,7 @@ from math import lcm
 
 from .errors import ChainInconsistencyError, DomainError, InconsistentDataError
 from .intmat import factorize, parse_json, strict_int
-from .lattices import ADEConfig, config_det, det_sign, stabilizer_order
+from .lattices import ADEConfig, CheckedRecord, config_det, det_sign, stabilizer_order
 
 K3_RANK = 22
 TOTAL_COHOMOLOGY_RANK = 24
@@ -41,67 +41,61 @@ COKERNEL_INDEX_ASSUMPTION = (
 MAX_GROUP_ORDER = 960
 
 
-class ActionRecord(namedtuple(
-    "ActionRecord",
-    "name group_order census config glue_index h3_order provenance",
-    defaults=("",),
+class ActionRecord(CheckedRecord, namedtuple(
+    "ActionRecord", "name group_order census config glue_index h3_order provenance"
 )):
     """One group's symplectic-action data, as shipped or user-supplied.
 
     ``census`` (element order -> count), ``glue_index`` and ``h3_order``
-    may be None; ``config`` is an ADEConfig.
+    may be None; ``config`` is an ADEConfig.  Inconsistent data is
+    refused with InconsistentDataError when the record is built.
     """
 
     __slots__ = ()
 
-    def validate(self):
-        if self.group_order < 1:
-            raise InconsistentDataError(f"{self.name}: group order must be positive")
+    def __new__(cls, name, group_order, census, config, glue_index, h3_order, provenance=""):
+        if group_order < 1:
+            raise InconsistentDataError(f"{name}: group order must be positive")
         # symplectic elements have order <= 8, so by Cauchy no prime above 7 divides |G|
-        rest = self.group_order
+        rest = group_order
         for p in (2, 3, 5, 7):
             while rest % p == 0:
                 rest //= p
         if rest != 1:
+            raise InconsistentDataError(f"{name}: group order has a prime factor above 7")
+        if group_order > MAX_GROUP_ORDER:
             raise InconsistentDataError(
-                f"{self.name}: group order {self.group_order} has a prime factor above 7"
-            )
-        if self.group_order > MAX_GROUP_ORDER:
-            raise InconsistentDataError(
-                f"{self.name}: group order exceeds {MAX_GROUP_ORDER}, the largest "
+                f"{name}: group order exceeds {MAX_GROUP_ORDER}, the largest "
                 f"order of a finite symplectic group (Mukai)"
             )
-        if self.config.rank > 19:
+        if config.rank > 19:
             raise InconsistentDataError(
-                f"{self.name}: configuration rank {self.config.rank} exceeds 19"
+                f"{name}: configuration rank {config.rank} exceeds 19"
             )
-        if self.census is not None:
-            for n, m in self.census.items():
+        if census is not None:
+            for n, m in census.items():
                 if not (2 <= n <= 8) or m < 1:
-                    raise InconsistentDataError(
-                        f"{self.name}: census entry {n}: {m} out of range"
-                    )
-            total = sum(self.census.values())
-            if total != self.group_order - 1:
+                    raise InconsistentDataError(f"{name}: census entry {n}: {m} out of range")
+            total = sum(census.values())
+            if total != group_order - 1:
                 raise InconsistentDataError(
-                    f"{self.name}: census counts {total} non-identity elements, "
-                    f"expected {self.group_order - 1}"
+                    f"{name}: census counts {total} non-identity elements, "
+                    f"expected {group_order - 1}"
                 )
-        if self.glue_index is not None:
-            if self.glue_index < 1:
-                raise InconsistentDataError(f"{self.name}: glue index must be positive")
-            d_k = config_det(self.config)
-            if d_k % self.glue_index**2:
+        if glue_index is not None:
+            if glue_index < 1:
+                raise InconsistentDataError(f"{name}: glue index must be positive")
+            d_k = config_det(config)
+            if d_k % glue_index**2:
                 raise InconsistentDataError(
-                    f"{self.name}: glue_index^2 = {self.glue_index**2} does not "
+                    f"{name}: glue_index^2 = {glue_index**2} does not "
                     f"divide |d(K)| = {abs(d_k)}"
                 )
-        if self.h3_order is not None and self.h3_order < 1:
-            raise InconsistentDataError(f"{self.name}: h3_order must be positive")
-        return self
-
-    def with_values(self, **kwargs) -> "ActionRecord":
-        return self._replace(**kwargs).validate()
+        if h3_order is not None and h3_order < 1:
+            raise InconsistentDataError(f"{name}: h3_order must be positive")
+        return super().__new__(
+            cls, name, group_order, census, config, glue_index, h3_order, provenance
+        )
 
 
 class InvariantReport(namedtuple(
@@ -257,13 +251,12 @@ def _sign(x: int) -> int:
     return 1 if x > 0 else -1
 
 
-def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> InvariantReport:
+def discriminant_chain(rec: ActionRecord) -> InvariantReport:
     """Walk d(K) -> d(M) -> d(J) -> d(H^2^G) -> d(S_G) with exact divisions.
 
     Any inexact division aborts with the failing step named; that signals
     a wrong glue_index or h3_order.
     """
-    rec.validate()
     r = rank_from_config(rec.config)
     d_k = config_det(rec.config)
     if rec.glue_index is None:
@@ -293,7 +286,7 @@ def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> Invari
     sign_ok = _sign(d_j) == expected_sign and _sign(d_h2g) == expected_sign
     xiao_ok = xiao_consistency(rec.config, rec.group_order)
     notes = []
-    rank_cross_ok, cross_error = rank_cross_check(rec, profile)
+    rank_cross_ok, cross_error = rank_cross_check(rec)
     if cross_error is not None:
         notes.append(f"rank cross-check failed: {cross_error}")
     if rec.group_order == 168 and abs(d_j) == 784:
@@ -315,16 +308,6 @@ def discriminant_chain(rec: ActionRecord, profile: dict | None = None) -> Invari
         sign_ok=sign_ok,
         notes=tuple(notes),
     )
-
-
-def glue_quotient_order(rec: ActionRecord) -> int:
-    """[M : K] for the record; 1 marks a primitively embedded configuration."""
-    rec.validate()
-    if rec.glue_index is None:
-        raise ChainInconsistencyError(
-            "glue_index", f"{rec.name}: glue_index unknown"
-        )
-    return rec.glue_index
 
 
 # -- built-in classification tables ---------------------------------------
@@ -399,7 +382,7 @@ def record_from_dict(obj: dict) -> ActionRecord:
         value = obj[field]
         return None if value is None else strict_int(value, f"{name}: {field}")
 
-    rec = ActionRecord(
+    return ActionRecord(
         name=name,
         group_order=strict_int(obj["group_order"], f"{name}: group_order"),
         census=census,
@@ -408,7 +391,6 @@ def record_from_dict(obj: dict) -> ActionRecord:
         h3_order=optional_int("h3_order"),
         provenance=_strict_str(obj["provenance"], f"{name}: provenance"),
     )
-    return rec.validate()
 
 
 def record_to_dict(rec: ActionRecord) -> dict:

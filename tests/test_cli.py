@@ -127,7 +127,7 @@ def test_rank_cross_check_failure_in_chain_and_verify(tmp_path, capsys):
     assert code == 0
     rows = {r["name"]: r["rank_cross_ok"] for r in json.loads(out)["records"]}
     assert rows["C6"] is False and rows["C5"] is True
-    rec = next(r for r in shipped_records() if r.name == "C6").with_values(census={2: 5})
+    rec = next(r for r in shipped_records() if r.name == "C6")._replace(census={2: 5})
     report = discriminant_chain(rec)
     assert report.rank_cross_ok is False
     assert report.notes[0].startswith("rank cross-check failed: fixed-point total 64")

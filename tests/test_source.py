@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import k3lat
-from k3lat.errors import InconsistentDataError
+from k3lat.discforms import disc_form
+from k3lat.errors import DomainError, InconsistentDataError
 from k3lat.genus import GenusSpec, ReducedForm
 from k3lat.intmat import IntMatrix, smith_normal_form
-from k3lat.lattices import ADEConfig, RootComponent
+from k3lat.lattices import CONFIG_RANK_CAP, ADEConfig, RootComponent
 from k3lat.pipeline import ActionRecord, discriminant_chain, shipped_records, tables_disjoint
 
 SOURCES = sorted(Path(k3lat.__file__).parent.glob("*.py"))
@@ -84,9 +85,9 @@ PUBLIC_NAMES = {
                  "det_sign", "direct_sum", "disc_group", "is_negative_definite",
                  "is_positive_definite", "rescale", "stabilizer_order"],
     "pipeline": ["DEFAULT_FIXED_POINT_PROFILE", "ActionRecord", "InvariantReport",
-                 "derive_fixed_point_profile", "discriminant_chain", "glue_quotient_order",
-                 "rank_from_config", "rank_from_group", "records_to_json", "shipped_records",
-                 "tables_disjoint", "torus_quotient_tables", "xiao_consistency"],
+                 "derive_fixed_point_profile", "discriminant_chain", "rank_from_config",
+                 "rank_from_group", "records_to_json", "shipped_records", "tables_disjoint",
+                 "torus_quotient_tables", "xiao_consistency"],
 }
 
 
@@ -214,6 +215,66 @@ def _record_instances():
     ]
 
 
+# (a valid record, field values that its checks refuse, the error they raise)
+CHECKED_RECORDS = {
+    "RootComponent": (lambda: RootComponent("A", 1), {"n": 0}, DomainError),
+    "ADEConfig": (lambda: ADEConfig.parse("A1"),
+                  {"components": (RootComponent("A", 1),) * (CONFIG_RANK_CAP + 1)},
+                  DomainError),
+    "ReducedForm": (lambda: ReducedForm(((2,),)), {"gram": ((3,),)}, DomainError),
+    "GenusSpec": (lambda: GenusSpec(2, 3, disc_form(ReducedForm(((2, 1), (1, 2))).lattice())),
+                  {"det": 5}, DomainError),
+    "ActionRecord": (lambda: next(r for r in shipped_records() if r.name == "S4"),
+                     {"group_order": 11}, InconsistentDataError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_RECORDS))
+def test_every_construction_path_runs_the_checks(name):
+    build, bad, error = CHECKED_RECORDS[name]
+    rec = build()
+    cls = type(rec)
+    assert cls.__name__ == name and rec._replace() == rec == cls._make(rec)
+    values = [bad.get(field, value) for field, value in zip(rec._fields, rec)]
+    with pytest.raises(error):
+        cls(*values)
+    with pytest.raises(error):
+        rec._replace(**bad)
+    with pytest.raises(error):
+        cls._make(values)
+
+
+def test_make_builds_the_canonical_record():
+    config = ADEConfig.parse("D4,2*A2,A1")
+    made = ADEConfig._make((config.components[::-1],))
+    assert made == config and made.components == config.components
+
+
+def test_validating_records_list_the_checked_base_first():
+    # namedtuple's _make (and so _replace) skips a subclass's __new__ unless
+    # the class routes _make through it, as CheckedRecord does
+    checked, missing = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            on_namedtuple = any(
+                isinstance(b, ast.Call) and getattr(b.func, "id", None) == "namedtuple"
+                for b in node.bases
+            )
+            validates = any(
+                isinstance(f, ast.FunctionDef) and f.name == "__new__" for f in node.body
+            )
+            if on_namedtuple and validates:
+                first = node.bases[0]
+                if isinstance(first, ast.Name) and first.id == "CheckedRecord":
+                    checked.add(node.name)
+                else:
+                    missing.append(f"{path.name}:{node.lineno} {node.name}")
+    assert missing == []
+    assert checked >= set(CHECKED_RECORDS)
+
+
 def test_records_are_immutable_and_print_as_before():
     # the repr strings are those the frozen dataclasses printed
     records = _record_instances()
@@ -237,6 +298,6 @@ def test_record_equality_hashing_and_order():
     a1, a3, d4, e6 = (RootComponent(k, n) for k, n in (("A", 1), ("A", 3), ("D", 4), ("E", 6)))
     assert sorted([e6, d4, a3, a1]) == [a1, a3, d4, e6]
     s4 = next(r for r in shipped_records() if r.name == "S4")
-    assert s4.with_values(h3_order=4).h3_order == 4 and s4.h3_order == 2
+    assert s4._replace(h3_order=4).h3_order == 4 and s4.h3_order == 2
     with pytest.raises(InconsistentDataError, match="glue_index"):
-        s4.with_values(glue_index=5)
+        s4._replace(glue_index=5)
