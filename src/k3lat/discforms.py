@@ -22,6 +22,7 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    block_diagonal,
     column_space_basis,
     factorize,
     smith_normal_form,
@@ -222,15 +223,10 @@ def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
 def orthogonal_sum(forms) -> FiniteQuadraticForm:
     """Block sum of finitely many forms; the empty sum is trivial."""
     forms = list(forms)
-    orders = [d for f in forms for d in f.orders]
-    gram = [[0] * len(orders) for _ in orders]
-    off = 0
-    for f in forms:
-        for i, row in enumerate(f.gram):
-            for j, x in enumerate(row):
-                gram[off + i][off + j] = Fraction(x, f.level)
-        off += len(f.orders)
-    return FiniteQuadraticForm(orders, gram)
+    return FiniteQuadraticForm(
+        [d for f in forms for d in f.orders],
+        block_diagonal([[Fraction(x, f.level) for x in row] for row in f.gram] for f in forms),
+    )
 
 
 def _primary_embeddings(q: FiniteQuadraticForm):

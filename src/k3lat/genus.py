@@ -12,12 +12,11 @@ tests; ``is_isometric`` and ``short_vectors`` are separate tools.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import isqrt, prod
 
 from .discforms import are_isomorphic, disc_form
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
-from .intmat import IntMatrix, fraction_free_rows, invariant_factors, strict_int_rows
+from .intmat import IntMatrix, invariant_factors, positive_pivots, strict_int, strict_int_rows
 from .lattices import CheckedRecord, GramLattice, disc_group
 
 DET_BOUND = 100_000
@@ -84,8 +83,7 @@ def norm_of(gram, v) -> int:
     return sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
 
 
-@lru_cache(maxsize=4096)
-def short_vectors(gram: tuple, bound: int) -> tuple:
+def short_vectors(gram, bound: int) -> tuple:
     """All nonzero integer vectors with norm <= bound, exact arithmetic.
 
     The fraction-free elimination of a positive-definite Gram gives rows
@@ -93,11 +91,13 @@ def short_vectors(gram: tuple, bound: int) -> tuple:
     Q(x) = sum_k (u_k . x)^2 / (D_k D_{k+1}).  Scaled by
     M = prod_k D_k D_{k+1}, each coordinate range is exact in integers.
     """
-    n = len(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+    m = IntMatrix(gram)
+    strict_int(bound, "short-vector bound")
+    if not m.is_symmetric():
         raise DomainError("short vectors need a symmetric Gram matrix")
-    swaps, u = fraction_free_rows([list(row) for row in gram])
-    if swaps != 0 or any(u[k][k] <= 0 for k in range(n)):
+    gram, n = m.rows, m.nrows
+    u = positive_pivots(m.to_lists())
+    if u is None:
         raise DomainError(f"short vectors need a positive-definite Gram, got {gram}")
     minors = [1] + [u[k][k] for k in range(n)]
     scale = prod(minors[k] * minors[k + 1] for k in range(n))
@@ -128,7 +128,7 @@ def short_vectors(gram: tuple, bound: int) -> tuple:
     return tuple(out)
 
 
-def vector_counts(gram: tuple, bound: int) -> tuple:
+def vector_counts(gram, bound: int) -> tuple:
     """Count of vectors by norm up to the bound; an isometry invariant."""
     counts = {}
     for w in short_vectors(gram, bound):
@@ -254,9 +254,9 @@ def _rank3_partition(det, a):
 def enumerate_reduced(rank: int, det: int) -> list:
     """All even positive-definite forms of the rank and determinant,
     one canonical representative per isometry class."""
-    if rank not in (1, 2, 3):
+    if strict_int(rank, "rank") not in (1, 2, 3):
         raise DomainError(f"rank must be 1..3, got {rank}")
-    if det < 1:
+    if strict_int(det, "determinant") < 1:
         raise DomainError(f"determinant must be positive, got {det}")
     if det > DET_BOUND:
         raise ResourceLimitError(
@@ -307,9 +307,6 @@ def genus_class_count(spec: GenusSpec):
         target_group = tuple(
             d for d in invariant_factors(IntMatrix.diagonal(spec.disc.orders)) if d > 1
         )
-        reps = [
-            r for r in reps
-            if disc_group(r.lattice()) == target_group
-            and are_isomorphic(disc_form(r.lattice()), spec.disc)
-        ]
+        reps = [r for r in reps if disc_group(lat := r.lattice()) == target_group
+                and are_isomorphic(disc_form(lat), spec.disc)]
     return len(reps), reps

@@ -19,7 +19,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import DomainError, InconsistentDataError, ResourceLimitError
-from .intmat import invariant_factors_of_rows, strict_int_rows
+from .intmat import IntMatrix, invariant_factors, strict_int, strict_int_rows
 
 PERMUTATION_CLOSURE_LIMIT = 10_000
 ASSOC_VALIDATION_LIMIT = 1_024
@@ -36,7 +36,7 @@ class FiniteGroup:
     validated (identity, latin square, associativity).
     """
 
-    __slots__ = ("table", "order", "_orders")
+    __slots__ = ("table", "order")
 
     def __init__(self, table, _trusted=False):
         if _trusted:
@@ -70,11 +70,10 @@ class FiniteGroup:
                 raise DomainError("Cayley table is not associative")
         self.table = table
         self.order = n
-        self._orders = None
 
     @classmethod
     def cyclic(cls, n):
-        if n < 1:
+        if strict_int(n, "cyclic group order") < 1:
             raise DomainError("cyclic group order must be positive")
         return cls([[(i + j) % n for j in range(n)] for i in range(n)], _trusted=True)
 
@@ -133,9 +132,7 @@ class FiniteGroup:
         return o
 
     def element_orders(self):
-        if self._orders is None:
-            self._orders = tuple(self.element_order(i) for i in range(self.order))
-        return self._orders
+        return tuple(self.element_order(i) for i in range(self.order))
 
 
 def _generators(table):
@@ -411,7 +408,7 @@ def h3_bar_resolution(g: FiniteGroup, cap: int = H3_DEFAULT_CAP) -> tuple:
     free = [j for j in range(size) if j not in pivots]
     rows = [[row.get(j, 0) for j in free] for row in rest]
     rows += [[m if i == j else 0 for j in range(len(free))] for i in range(len(free))]
-    factors = invariant_factors_of_rows(rows, len(free))
+    factors = invariant_factors(IntMatrix(rows))
     if len(pivots) + sum(1 for f in factors if f < m) != r3:
         raise InconsistentDataError(
             "modular Smith form of d3 disagrees with its certified rank"

@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: determinants, Smith normal form, prime
-factorization.
+"""Exact integer arithmetic: determinants, definiteness certificates,
+block sums, Smith normal form, prime factorization.
 
 Everything here runs on Python's arbitrary-precision integers.  The
 Bareiss intermediates for a rank-19 Gram matrix already overflow 64 bits,
@@ -181,6 +181,27 @@ def fraction_free_rows(rows):
     return swaps, rows
 
 
+def positive_pivots(rows):
+    """``fraction_free_rows`` of a square list of int rows if every leading
+    principal minor is positive (row k's pivot is the (k+1)-th), else None."""
+    swaps, u = fraction_free_rows(rows)
+    return u if swaps == 0 and all(u[k][k] > 0 for k in range(len(u))) else None
+
+
+def block_diagonal(blocks):
+    """Square blocks on the diagonal and zero elsewhere, as a list of rows.
+
+    Entries keep their type, so Fraction blocks give a Fraction sum.
+    """
+    blocks = list(blocks)
+    total = sum(map(len, blocks))
+    out = []
+    for b in blocks:
+        off = len(out)
+        out.extend([0] * off + list(row) + [0] * (total - off - len(b)) for row in b)
+    return out
+
+
 def det_exact(a: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
@@ -316,11 +337,6 @@ def invariant_factors(a: IntMatrix) -> tuple:
     """Diagonal of the Smith form only; skips the transform bookkeeping."""
     m = a.to_lists()
     return tuple(_snf_inplace(m, a.nrows, a.ncols))
-
-
-def invariant_factors_of_rows(rows, ncols) -> tuple:
-    """invariant_factors for a raw list-of-lists (mutated in place)."""
-    return tuple(_snf_inplace(rows, len(rows), ncols))
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:

@@ -13,7 +13,9 @@ import re
 from collections import namedtuple
 
 from .errors import DegenerateLatticeError, DomainError
-from .intmat import IntMatrix, det_exact, fraction_free_rows, invariant_factors, strict_int
+from .intmat import (
+    IntMatrix, block_diagonal, det_exact, invariant_factors, positive_pivots, strict_int,
+)
 
 _ADE_RANK_BOUNDS = {"A": 1, "D": 4, "E": 6}
 
@@ -131,7 +133,7 @@ class ADEConfig(CheckedRecord, namedtuple("ADEConfig", "components")):
 class GramLattice:
     """An integral lattice presented by its Gram matrix."""
 
-    __slots__ = ("gram", "even", "_det")
+    __slots__ = ("gram", "even")
 
     def __init__(self, gram: IntMatrix):
         if not isinstance(gram, IntMatrix):
@@ -140,7 +142,6 @@ class GramLattice:
             raise DomainError("Gram matrix must be symmetric")
         self.gram = gram
         self.even = all(gram.rows[i][i] % 2 == 0 for i in range(gram.nrows))
-        self._det = None
 
     @property
     def rank(self) -> int:
@@ -148,9 +149,7 @@ class GramLattice:
 
     @property
     def det(self) -> int:
-        if self._det is None:
-            self._det = det_exact(self.gram)
-        return self._det
+        return det_exact(self.gram)
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram
@@ -185,18 +184,7 @@ def ade_lattice(c: RootComponent) -> GramLattice:
 
 def direct_sum(lattices) -> GramLattice:
     """Block-diagonal sum; the empty sum is the rank-0 lattice (det 1)."""
-    lattices = list(lattices)
-    total = sum(l.rank for l in lattices)
-    g = [[0] * total for _ in range(total)]
-    off = 0
-    for lat in lattices:
-        r = lat.rank
-        for i in range(r):
-            row = lat.gram.rows[i]
-            for j in range(r):
-                g[off + i][off + j] = row[j]
-        off += r
-    return GramLattice(IntMatrix(g))
+    return GramLattice(IntMatrix(block_diagonal(l.gram.rows for l in lattices)))
 
 
 def config_lattice(config: ADEConfig) -> GramLattice:
@@ -251,10 +239,7 @@ def stabilizer_order(c: RootComponent) -> int:
 
 
 def _definite(l: GramLattice, sign: int) -> bool:
-    # every leading minor of sign * gram is positive; one that is zero
-    # forces a row swap
-    swaps, u = fraction_free_rows([[sign * x for x in row] for row in l.gram.rows])
-    return swaps == 0 and all(u[k][k] > 0 for k in range(l.rank))
+    return positive_pivots([[sign * x for x in row] for row in l.gram.rows]) is not None
 
 
 def is_negative_definite(l: GramLattice) -> bool:

@@ -9,7 +9,7 @@ check on it.
 """
 
 from k3lat.groups import _rank_exact_sparse
-from k3lat.intmat import invariant_factors_of_rows
+from k3lat.intmat import IntMatrix, invariant_factors
 
 
 def coboundary_rows(table, deg):
@@ -70,7 +70,7 @@ def cochain_h3(g):
     for i, row in enumerate(d2):
         for c, v in row.items():
             dense[i][c] = v
-    factors = invariant_factors_of_rows(dense, n * n)
+    factors = invariant_factors(IntMatrix(dense))
     r2 = sum(1 for f in factors if f)
     if r2 + _rank_exact_sparse(d3) != n ** 3:
         raise AssertionError("H^3 has positive free rank")

@@ -10,7 +10,7 @@ from det_reference import leibniz_det
 from genus_reference import reference_classes
 from k3lat import genus
 from k3lat.discforms import are_isomorphic, disc_form, negate
-from k3lat.errors import DomainError, ResourceLimitError
+from k3lat.errors import DimensionError, DomainError, K3latError, ResourceLimitError
 from k3lat.genus import (
     GenusSpec,
     ReducedForm,
@@ -141,6 +141,35 @@ def test_short_vectors_match_box_oracle_in_any_basis(gram, data):
 def test_short_vectors_refuse_grams_that_are_not_positive_definite(gram):
     with pytest.raises(DomainError):
         short_vectors(gram, 4)
+
+
+def test_short_vectors_read_a_list_gram_like_a_tuple_gram():
+    assert short_vectors([[2, 1], [1, 2]], 2) == short_vectors(((2, 1), (1, 2)), 2)
+    assert vector_counts([[2, 1], [1, 2]], 4) == vector_counts(((2, 1), (1, 2)), 4)
+
+
+@pytest.mark.parametrize("function", [short_vectors, vector_counts])
+@pytest.mark.parametrize("gram, bound, error, match", [
+    (((2.0, 1), (1, 2)), 2, DomainError, "entry \\[0\\]\\[0\\] must be an integer"),
+    (((True,),), 2, DomainError, "entry \\[0\\]\\[0\\] must be an integer"),
+    (((2, 1), (1,)), 2, DimensionError, "ragged"),
+    (((2, 1), (1, 2)), 2.5, DomainError, "short-vector bound must be an integer"),
+    (((2, 1, 0), (1, 2, 0)), 2, DomainError, "symmetric"),
+], ids=["float entry", "bool entry", "ragged", "float bound", "not square"])
+def test_short_vectors_refuse_malformed_input_by_name(function, gram, bound, error, match):
+    with pytest.raises(error, match=match) as info:
+        function(gram, bound)
+    assert isinstance(info.value, K3latError)
+
+
+@pytest.mark.parametrize("rank, det, match", [
+    (True, 4, "rank must be an integer, got True"),
+    (3, 84.0, "determinant must be an integer, got 84.0"),
+    (2.0, 3, "rank must be an integer, got 2.0"),
+])
+def test_enumerate_reduced_refuses_non_integer_arguments(rank, det, match):
+    with pytest.raises(DomainError, match=match):
+        enumerate_reduced(rank, det)
 
 
 def test_is_isometric_examples():

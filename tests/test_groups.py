@@ -72,6 +72,12 @@ def test_cyclic_and_census():
     assert order_census(S4) == {2: 9, 3: 8, 4: 6}
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_cyclic_refuses_a_non_integer_order(n):
+    with pytest.raises(DomainError, match="cyclic group order must be an integer"):
+        FiniteGroup.cyclic(n)
+
+
 def test_census_rejects_large_orders():
     with pytest.raises(DomainError):
         order_census(FiniteGroup.cyclic(9))

@@ -64,6 +64,22 @@ def test_every_module_level_function_has_a_caller():
     assert uncalled == []
 
 
+def test_matrix_kernels_are_referenced_only_in_intmat():
+    # one elimination and one Smith loop: other modules go through the
+    # intmat helpers built on them, never the kernels themselves
+    kernels = {"fraction_free_rows", "_snf_inplace", "_mul_columns"}
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.stem != "intmat"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id in kernels)
+        or (isinstance(node, ast.Attribute) and node.attr in kernels)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in kernels for alias in node.names))
+    )
+    assert found == []
+
+
 def test_import_does_not_load_numpy():
     # numpy is no dependency; importing it would cost every CLI start
     code = "import sys, k3lat; print('numpy' in sys.modules)"
