@@ -346,25 +346,48 @@ def are_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
 
 
 def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
-    """All subgroups of the given order with q identically 0 on them."""
+    """All subgroups of the given order with q identically 0 on them.
+
+    Every such subgroup of a p-group is reached from {0} by steps of index
+    p.  A step adds an isotropic x with p x already in the subgroup and
+    b(x, g) = 0 for each generator g added so far; b is bilinear, so x is
+    then orthogonal to the whole subgroup.  Every element that a step adds
+    gives that same step, so none of them is tried again from there.
+    """
     zero = part.zero
     if order == 1:
         return [frozenset({zero})]
+    (p,) = factorize(order)
+    level = part.level
+    two_level = 2 * level
+    orders, gram = part.orders, part.gram
     elems = part.elements()
-    two_level = 2 * part.level
-    iso = [x for x in elems if x != zero and part._pairing(x, x) % two_level == 0]
-    results = set()
-    seen = set()
+    # level * q(x) in the order of elems, one coordinate at a time:
+    # q(y + a e_i) = q(y) + 2 a b(y, e_i) + a^2 q(e_i).  A prefix y carries
+    # level * q(y) and its row level * b(y, e_j) over all j.
+    prefixes = [(0, zero)]
+    for i, d in enumerate(orders[:-1]):
+        grow, gii = gram[i], gram[i][i]
+        prefixes = [(v + (2 * row[i] + a * gii) * a, tuple(r + a * g for r, g in zip(row, grow)))
+                    for v, row in prefixes for a in range(d)]
+    dk, gkk = orders[-1], gram[-1][-1]
+    values = [v + (2 * row[-1] + a * gkk) * a for v, row in prefixes for a in range(dk)]
+    # (x, p x, level * b(x, e_i) over the generators e_i) per isotropic x != 0
+    iso = [(x, tuple(p * a % d for a, d in zip(x, orders)),
+            tuple(sum(a * g for a, g in zip(x, grow)) for grow in gram))
+           for x, v in zip(elems[1:], values[1:]) if v % two_level == 0]
     start = frozenset({zero})
-    stack = [start]
-    seen.add(start)
+    seen = {start}
+    results = []
+    stack = [(start, ())]
     nodes = 0
     while stack:
-        sub = stack.pop()
-        for x in iso:
-            if x in sub:
+        sub, gens = stack.pop()
+        tried = set(sub)
+        for x, px, row in iso:
+            if x in tried or px not in sub:
                 continue
-            if any(part._pairing(x, h) % part.level for h in sub):
+            if any(sum(a * r for a, r in zip(g, row)) % level for g in gens):
                 continue
             nodes += 1
             if nodes > SEARCH_NODE_BUDGET:
@@ -373,21 +396,19 @@ def _isotropic_subgroups_of_part(part: FiniteQuadraticForm, order: int):
                     f"{SEARCH_NODE_BUDGET} nodes"
                 )
             new = set(sub)
-            cur = x
-            while cur != zero:
-                new |= {part._add(h, cur) for h in sub}
-                cur = part._add(cur, x)
-            size = len(new)
-            if size > order or order % size:
-                continue
+            coset = sub
+            for _ in range(p - 1):
+                coset = [part._add(h, x) for h in coset]
+                new.update(coset)
+            tried |= new
             key = frozenset(new)
             if key in seen:
                 continue
             seen.add(key)
-            if size == order:
-                results.add(key)
+            if len(key) == order:
+                results.append(key)
             else:
-                stack.append(key)
+                stack.append((key, gens + (x,)))
     return sorted(results, key=lambda s: sorted(s))
 
 
@@ -439,19 +460,20 @@ def _subgroup_lifts(q: FiniteQuadraticForm, h) -> list:
     for x in h:
         if not isinstance(x, tuple) or len(x) != k:
             raise DomainError(f"subgroup element {x!r} must be a tuple of {k} integers")
-        for i, a in enumerate(x):
-            strict_int(a, f"coordinate {i} of subgroup element {x!r}")
+        if not all(type(a) is int for a in x):
+            for i, a in enumerate(x):
+                strict_int(a, f"coordinate {i} of subgroup element {x!r}")
         elems.add(q.reduce(x))
     if q.zero not in elems:
         raise DomainError("subgroup must contain 0")
-    for x in elems:
-        for y in elems:
-            if q._add(x, y) not in elems:
-                raise DomainError("given element set is not closed under addition")
+    for x, y in itertools.combinations_with_replacement(elems, 2):
+        if q._add(x, y) not in elems:
+            raise DomainError("given element set is not closed under addition")
     # b vanishes on a closed set on which q does, since
     # 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
+    two_level = 2 * q.level
     for x in elems:
-        if q.q_of(x) != 0:
+        if q._pairing(x, x) % two_level:
             raise DomainError(f"subgroup is not isotropic: q{x} = {q.q_of(x)}")
     return sorted(elems)
 
@@ -477,28 +499,35 @@ def overlattice_disc(q: FiniteQuadraticForm, h) -> FiniteQuadraticForm:
         return q
     nontrivial = [x for x in helems if x != q.zero]
     level = q.level
-    # k x (s + k) matrices [B^T | level I] and H, s = |h| - 1
+    # the k x (s + k) matrix [B^T | level I], s = |h| - 1
     n_span = [[sum(a * g for a, g in zip(hv, grow)) % level for hv in nontrivial]
               + [level if j == i else 0 for j in range(k)]
               for i, grow in enumerate(q.gram)]
-    h_span = [[x[i] for x in nontrivial] + [d if j == i else 0 for j in range(k)]
-              for i, d in enumerate(q.orders)]
-    wt_h = column_space_basis(IntMatrix(n_span)).transpose().mul(IntMatrix(h_span)).rows
+    # H = [h | diag(orders)] enters W^T H and H v as its s columns plus
+    # its diagonal, so the zeros of H are never multiplied
+    w_cols = list(zip(*column_space_basis(IntMatrix(n_span)).rows))
+    wt_h = [[sum(w * a for w, a in zip(wc, x)) for x in nontrivial]
+            + [w * d for w, d in zip(wc, q.orders)] for wc in w_cols]
     if any(x % level for row in wt_h for x in row):
         raise DomainError("subgroup lattice does not sit inside its perp")
     sf = smith_normal_form(IntMatrix([[x // level for x in row] for row in wt_h]))
+    s = len(nontrivial)
     v_cols = list(zip(*sf.v.rows))
     gens = []
     orders = []
     for j, d in enumerate(sf.d):
         if d < 2:
             continue
-        col = [sum(a * b for a, b in zip(row, v_cols[j])) for row in h_span]
+        vj = v_cols[j]
+        col = [sum(x[i] * c for x, c in zip(nontrivial, vj)) + di * vj[s + i]
+               for i, di in enumerate(q.orders)]
         if any(c % d for c in col):
             raise InconsistentDataError(
                 f"overlattice generator {j} is not integral over its Smith entry {d}"
             )
         gens.append(tuple(c // d for c in col))
         orders.append(d)
-    return FiniteQuadraticForm(
-        orders, [[Fraction(q._pairing(x, y), level) for y in gens] for x in gens])
+    # level * b(x, y) = x . (G y), with G y formed once per generator y
+    g_gens = [[sum(g * c for g, c in zip(grow, y)) for grow in q.gram] for y in gens]
+    return FiniteQuadraticForm(orders, [
+        [Fraction(sum(a * c for a, c in zip(x, gy)), level) for gy in g_gens] for x in gens])

@@ -369,6 +369,8 @@ def h3_bar_resolution(g: FiniteGroup, cap: int = H3_DEFAULT_CAP) -> tuple:
     as the fallback.  The count of factors below m must then equal
     rank d3.
     """
+    if type(cap) is not int:
+        strict_int(cap, "cohomology cap")
     n = g.order
     if n > cap:
         raise ResourceLimitError(

@@ -50,6 +50,8 @@ class RootComponent(CheckedRecord, namedtuple("RootComponent", "kind n")):
     def __new__(cls, kind, n):
         if kind not in _ADE_RANK_BOUNDS:
             raise DomainError(f"unknown root-system kind {kind!r}")
+        if type(n) is not int:
+            strict_int(n, "root-system rank n")
         if n < _ADE_RANK_BOUNDS[kind]:
             raise DomainError(f"{kind}{n} is below the minimal rank")
         if kind == "E" and n not in (6, 7, 8):
@@ -224,6 +226,9 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
 
 def det_sign(p: int, q: int) -> int:
     """Sign of the determinant of any nondegenerate lattice of signature (p, q)."""
+    if type(p) is not int or type(q) is not int:
+        strict_int(p, "signature count p")
+        strict_int(q, "signature count q")
     if p < 0 or q < 0:
         raise DomainError("signature counts must be nonnegative")
     return -1 if q % 2 else 1

@@ -296,6 +296,17 @@ def test_search_node_budget_is_enforced(monkeypatch, capsys):
         isotropic_subgroups(q, 2)
     with pytest.raises(ResourceLimitError, match="SEARCH_NODE_BUDGET = 2"):
         are_isomorphic(q, q)
+    q4 = disc_form(_seeded_basis(config_lattice(ADEConfig.parse("4*A3,2*A1")), 3))
+    with pytest.raises(ResourceLimitError, match="SEARCH_NODE_BUDGET = 2"):
+        isotropic_subgroups(q4, 4)
+    # each order-2 subgroup costs one node, so a budget of exactly their
+    # number finishes the order-2 search, and stops the order-4 search in
+    # its second step
+    lines = sum(1 for x in q4.elements() if q4.order_of(x) == 2 and q4.q_of(x) == 0)
+    monkeypatch.setattr(discforms, "SEARCH_NODE_BUDGET", lines)
+    assert len(isotropic_subgroups(q4, 2)) == lines
+    with pytest.raises(ResourceLimitError, match=f"SEARCH_NODE_BUDGET = {lines}"):
+        isotropic_subgroups(q4, 4)
     code = main(["genus", "--rank", "3", "--det", "6048",
                  "--disc-from-config", "A6,2*A3,3*A2,A1"])
     assert code == 3
@@ -450,25 +461,74 @@ def test_overlattice_disc_matches_brute_force(config, seed):
     assert nontrivial
 
 
-# the shipped cyclic records C2..C8: configuration of K and the glue index [M : K]
-CYCLIC_GLUE = [("8*A1", 2), ("6*A2", 3), ("4*A3,2*A1", 4), ("4*A4", 5),
-               ("2*A5,2*A2,2*A1", 6), ("3*A6", 7), ("2*A7,A3,A1", 8)]
+# the shipped records with glue index > 1 (C2..C8 and S4): configuration of
+# K, the glue index [M : K], and the number of isotropic subgroups of that order
+RECORD_GLUE = [("8*A1", 2, 71), ("6*A2", 3, 112), ("4*A3,2*A1", 4, 91), ("4*A4", 5, 36),
+               ("2*A5,2*A2,2*A1", 6, 80), ("3*A6", 7, 8), ("2*A7,A3,A1", 8, 7),
+               ("2*A3,3*A2,5*A1", 2, 31)]
 
 
-@pytest.mark.parametrize("config,glue", CYCLIC_GLUE)
-def test_overlattice_induced_forms_are_basis_independent(config, glue):
+@pytest.mark.parametrize("config,glue,count", RECORD_GLUE,
+                         ids=[f"{config}-{glue}" for config, glue, _ in RECORD_GLUE])
+def test_overlattice_induced_forms_are_basis_independent(config, glue, count):
     lat = config_lattice(ADEConfig.parse(config))
     multisets = []
     for seed in (0, 1):
         q = disc_form(_seeded_basis(lat, seed))
+        subs = isotropic_subgroups(q, glue)
+        assert len(subs) == count
         prints = []
-        for h in isotropic_subgroups(q, glue):
+        for h in subs:
             induced = overlattice_disc(q, h)
             assert induced.group_order * len(h) ** 2 == q.group_order
-            prints.append(element_fingerprint(induced))
-        assert prints
+            # the parts' fingerprints determine the whole form's, at a
+            # fraction of the cost on S4's order-3456 quotient
+            prints.append([element_fingerprint(part)
+                           for _, part in sorted(p_primary_parts(induced).items())])
         multisets.append(sorted(prints))
     assert multisets[0] == multisets[1]
+
+
+def _span(q, gens):
+    group = {q.zero}
+    for g in gens:
+        while True:
+            grown = group | {q.add(h, g) for h in group}
+            if grown == group:
+                break
+            group = grown
+    return frozenset(group)
+
+
+def _isotropic_subgroups_brute(q):
+    """{order: isotropic subgroups}, with no search: a subgroup of a group
+    with k cyclic factors is spanned by at most k elements, so the spans of
+    all tuples of at most k elements are every subgroup."""
+    elems = q.elements()
+    spans = {frozenset({q.zero})}
+    found = set(spans)
+    for _ in q.orders:
+        spans = {_span(q, h | {x}) for h in spans for x in elems}
+        found |= spans
+    out = {}
+    for h in found:
+        if all(q.q_of(x) == 0 for x in h):
+            out.setdefault(len(h), set()).add(h)
+    return out
+
+
+@pytest.mark.parametrize("config", ["A5,A2", "2*A3", "A3,2*A1", "D4,2*A1", "A7,A1"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_isotropic_subgroups_are_complete(config, seed):
+    q = disc_form(_seeded_basis(config_lattice(ADEConfig.parse(config)), seed))
+    brute = _isotropic_subgroups_brute(q)
+    for order in range(1, q.group_order + 1):
+        if q.group_order % (order * order):
+            continue
+        subs = isotropic_subgroups(q, order)
+        assert subs == sorted(subs, key=sorted)
+        assert len(set(subs)) == len(subs)
+        assert set(subs) == brute.get(order, set())
 
 
 @settings(max_examples=100, deadline=None)

@@ -189,6 +189,12 @@ def test_h3_cap():
         h3_bar_resolution(FiniteGroup.cyclic(8), cap=6)
 
 
+@pytest.mark.parametrize("cap", [2.5, 24.0, True, "24"])
+def test_h3_cap_is_a_strict_integer(cap):
+    with pytest.raises(DomainError, match="cohomology cap must be an integer"):
+        h3_bar_resolution(FiniteGroup.cyclic(2), cap=cap)
+
+
 def test_coboundary_composition_is_zero():
     for g in (S3, V4, FiniteGroup.cyclic(5)):
         assert compose_is_zero(_boundary(g.table, 3), _boundary(g.table, 2))

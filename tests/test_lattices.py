@@ -53,6 +53,14 @@ def test_bad_components_rejected(kind, n):
         RootComponent(kind, n)
 
 
+@pytest.mark.parametrize("n", [1.0, True, "1"])
+def test_root_component_rank_is_a_strict_integer(n):
+    with pytest.raises(DomainError, match="root-system rank n must be an integer"):
+        RootComponent("A", n)
+    with pytest.raises(DomainError, match="root-system rank n must be an integer"):
+        RootComponent("A", 1)._replace(n=n)
+
+
 def test_direct_sum_examples():
     k_s4 = config_lattice(ADEConfig.parse("2*A3,3*A2,5*A1"))
     assert k_s4.rank == 17
@@ -103,6 +111,12 @@ def test_det_sign():
     assert det_sign(0, 0) == 1
     with pytest.raises(DomainError):
         det_sign(-1, 0)
+
+
+@pytest.mark.parametrize("p,q,name", [(1.5, 0, "p"), (0, 1.0, "q"), (True, 0, "p"), (0, "19", "q")])
+def test_det_sign_counts_are_strict_integers(p, q, name):
+    with pytest.raises(DomainError, match=f"signature count {name} must be an integer"):
+        det_sign(p, q)
 
 
 @pytest.mark.parametrize("kind,n,order", [
